@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
+from repro import obs
 from repro.bgp.table import Prefix2AS
+from repro.errors import TopologyError
 from repro.manrs.registry import MANRSRegistry
 from repro.net.prefix import aggregate_address_count
 from repro.registry.rir import RIR
@@ -109,7 +111,13 @@ def registration_completeness(
     member_asns = manrs.member_asns(as_of=as_of)
     total = all_asns = all_space = partial = only_unregistered = quiescent_only = 0
     for org_id in sorted(manrs.member_orgs(as_of=as_of)):
-        org = topology.get_org(org_id)
+        try:
+            org = topology.get_org(org_id)
+        except TopologyError:
+            # A registry member as2org has never seen (an organisation
+            # that joined after the topology snapshot): no ASNs to judge.
+            obs.add("participation.orgs_unmapped")
+            continue
         registered = [a for a in org.asns if a in member_asns]
         unregistered = [a for a in org.asns if a not in member_asns]
         if not registered:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro import kernels
 from repro.net.prefix import Prefix
 from repro.rpki.roa import VRP
 
-__all__ = ["RouteCoverIndex", "vrp_delta", "vrp_churn"]
+__all__ = ["RouteCoverIndex", "VrpDelta", "vrp_delta"]
 
 
 class RouteCoverIndex:
@@ -128,37 +128,36 @@ class RouteCoverIndex:
         return sorted(hits)
 
 
-def vrp_delta(old: Iterable[VRP], new: Iterable[VRP]) -> set[Prefix]:
-    """Prefixes whose VRP entries differ between two VRP multisets.
+class VrpDelta(NamedTuple):
+    """How two VRP multisets differ."""
+
+    #: Prefixes whose VRP entries differ; empty when the multisets agree.
+    changed: set[Prefix]
+    #: VRPs the new multiset holds beyond the old one.
+    added: int
+    #: VRPs the old multiset holds beyond the new one.
+    removed: int
+
+
+def vrp_delta(old: Iterable[VRP], new: Iterable[VRP]) -> VrpDelta:
+    """Prefixes and VRP counts that differ between two VRP multisets.
 
     VRP lists compare as multisets (the relying party can emit genuine
     duplicates from duplicate ROAs, and dropping one of two equal VRPs
-    changes nothing).  The returned prefixes drive the cover-set
-    re-validation; an empty result certifies that every route's covering
+    changes nothing).  The changed prefixes drive the cover-set
+    re-validation; an empty set certifies that every route's covering
     VRP set — hence every RFC 6811 verdict — is unchanged.
     """
     old_counts = Counter(old)
     new_counts = Counter(new)
     changed: set[Prefix] = set()
-    for vrp, count in old_counts.items():
-        if new_counts.get(vrp, 0) != count:
+    added = removed = 0
+    for vrp in old_counts.keys() | new_counts.keys():
+        difference = new_counts[vrp] - old_counts[vrp]
+        if difference:
             changed.add(vrp.prefix)
-    for vrp, count in new_counts.items():
-        if old_counts.get(vrp, 0) != count:
-            changed.add(vrp.prefix)
-    return changed
-
-
-def vrp_churn(old: Iterable[VRP], new: Iterable[VRP]) -> tuple[int, int]:
-    """``(added, removed)`` VRP counts between two multisets."""
-    old_counts = Counter(old)
-    new_counts = Counter(new)
-    added = sum(
-        max(count - old_counts.get(vrp, 0), 0)
-        for vrp, count in new_counts.items()
-    )
-    removed = sum(
-        max(count - new_counts.get(vrp, 0), 0)
-        for vrp, count in old_counts.items()
-    )
-    return added, removed
+            if difference > 0:
+                added += difference
+            else:
+                removed -= difference
+    return VrpDelta(changed, added, removed)

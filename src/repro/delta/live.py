@@ -4,12 +4,14 @@
 and applies :mod:`repro.delta.events` one at a time, re-deriving only
 what each event can affect:
 
-* **RPKI events** re-run the (plan-cached) relying party, diff the VRP
-  multiset, and re-validate only the routes the changed prefixes cover
-  (:class:`~repro.delta.cover.RouteCoverIndex`); verdict memos for
-  everything outside the cover set carry over via ``seed_from``.
-* **IRR events** re-validate the cover set of the edited object's
-  prefix, seeding the registry memo with the carried verdicts first.
+* **RPKI events** cost O(their cover set).  The incremental relying
+  party patches one plan (appended on ``RoaIssued``, popped on
+  ``RoaExpired``); if that plan emits a VRP at the live instant, the VRP
+  is inserted into or removed from a live VRP trie and only the routes
+  its prefix covers (:class:`~repro.delta.cover.RouteCoverIndex`) are
+  re-classified against the trie.
+* **IRR events** re-classify the cover set of the edited object's
+  prefix against the (incrementally maintained) registry trie.
 * **Membership events** touch nothing derived (the participants dataset
   serialises straight from the registry).
 * **Topology events** rebuild the propagation engine (structure
@@ -18,12 +20,15 @@ what each event can affect:
   adopt every cached path whose effective-filter signature is unchanged
   (:meth:`~repro.bgp.propagation.PropagationEngine.adopt_cache`).
 
-Verdict changes *regroup* routes among (origin, route class) buckets;
-:meth:`LiveWorld.world` then materialises a full ``World`` by replaying
-exactly the builder's collection and IHR derivation over the current
-buckets — propagation comes from the (mostly warm) engine memo and
-transit scoring from a per-group cache keyed on everything a group's
-hegemony depends on.  The result must digest-equal
+Verdict changes *regroup* routes among (origin, route class) buckets.
+World-wide work happens once per materialisation, never per event:
+:meth:`LiveWorld.world` builds one ``ROVValidator`` from the relying
+party's plans, seeds it and the registry memo with the live verdicts,
+and then materialises a full ``World`` by replaying exactly the
+builder's collection and IHR derivation over the current buckets —
+propagation comes from the (mostly warm) engine memo and transit
+scoring from a per-group cache keyed on everything a group's hegemony
+depends on.  The result must digest-equal
 :func:`~repro.delta.rebuild.cold_rebuild` of the same events — the
 replay==rebuild invariant pinned by ``tests/test_delta.py`` and the
 ``make delta-smoke`` gate.
@@ -32,33 +37,30 @@ replay==rebuild invariant pinned by ``tests/test_delta.py`` and the
 from __future__ import annotations
 
 from datetime import date
+from typing import Iterable
 
 from repro import kernels, obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
-from repro.delta.cover import RouteCoverIndex, vrp_churn, vrp_delta
-from repro.delta.events import DeltaState, Event, apply_raw
-from repro.delta.rebuild import recompute_world, route_table
+from repro.delta.cover import RouteCoverIndex, vrp_delta
+from repro.delta.events import DeltaState, Event, RoaIssued, apply_raw
+from repro.delta.rebuild import route_table
 from repro.ihr.pipeline import transit_groups_indexed
 from repro.ihr.records import IHRDataset, PrefixOriginRecord, TransitGroup
+from repro.irr import validation as irr_validation
 from repro.irr.validation import IRRStatus, seed_memo, validate_irr_many
 from repro.net.prefix import Prefix
+from repro.net.radix import RadixTree
+from repro.rpki import rov as rov_validation
+from repro.rpki.roa import VRP
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
 from repro.scenario.world import World
 from repro.topology.classify import classify_all
 
 __all__ = ["LiveWorld", "run_job_at"]
-
-#: The four route classes a bucket key can carry.
-_ALL_CLASSES = tuple(
-    RouteClass(rpki_invalid=rpki, irr_invalid=irr)
-    for rpki in (False, True)
-    for irr in (False, True)
-)
-
 
 class LiveWorld:
     """A world plus an event cursor, materialisable at any instant."""
@@ -68,20 +70,17 @@ class LiveWorld:
         self._state = DeltaState.from_world(base)
         self._date: date = base.config.snapshot_date
         self._rp = IncrementalRelyingParty(self._state.repository)
-        # The base validator is reused as-is until the first RPKI event:
-        # its VRP set is exactly what the relying party emits for the
-        # unmutated repository, and its memo is warm from the build.
+        # The base validator serves until the live VRP set first differs
+        # from it; world() then builds one validator from the plans.
         self._rov: ROVValidator = base.rov
+        self._rov_stale = False
+        #: The live VRP set as a trie (built on the first RPKI event).
+        self._vrp_trie: RadixTree[VRP] | None = None
         self._routes = route_table(base)
         self._cover = RouteCoverIndex(self._routes)
         with obs.span("delta.init", routes=len(self._routes)):
             self._rpki_status = dict(base.rov.validate_many(self._routes))
-            irr_status = validate_irr_many(base.irr, self._routes)
-            self._irr_status = dict(irr_status)
-            # The cloned registry starts with an empty (version-fresh)
-            # memo; seed it so the first IRR event only walks its cover
-            # set instead of the whole table.
-            seed_memo(self._state.irr, irr_status)
+            self._irr_status = dict(validate_irr_many(base.irr, self._routes))
         self._groups: dict[tuple[int, RouteClass], set[Prefix]] = {}
         for prefix, asn in self._routes:
             self._groups.setdefault(
@@ -140,9 +139,9 @@ class LiveWorld:
         with obs.span("delta.apply", event=type(event).__name__):
             domain = apply_raw(self._state, event)
             if domain == "rpki":
-                self._refresh_vrps()
+                self._apply_roa(event)
             elif domain == "irr":
-                self._reclassify_irr(event.route.prefix)
+                self._reclassify([event.route.prefix], rpki=False)
             elif domain == "topology":
                 self._rebuild_engine(adopt=False)
                 self._topo_version += 1
@@ -157,74 +156,83 @@ class LiveWorld:
             return domain
 
     def advance_to(self, as_of: date) -> None:
-        """Move the observation instant (ROA validity windows shift)."""
+        """Move the observation instant (ROA validity windows shift).
+
+        Any plan can cross its window at a new date, so this diffs the
+        whole VRP set and rebuilds the live trie from the new one.
+        """
         if as_of == self._date:
             return
         with obs.span("delta.advance", to=as_of.isoformat()):
+            old = self._rp.validate(self._date).vrps
+            new = self._rp.validate(as_of).vrps
             self._date = as_of
-            self._refresh_vrps(refresh_plans=False)
             self._cached_world = None
+            delta = vrp_delta(old, new)
+            if not delta.changed:
+                # Identical VRP multiset: every covering set, hence every
+                # verdict and the (sorted) serialisation, is unchanged.
+                return
+            obs.add("delta.vrps_added", delta.added)
+            obs.add("delta.vrps_removed", delta.removed)
+            self._vrp_trie = _trie_of(new)
+            self._rov_stale = True
+            self._reclassify(delta.changed, rpki=True)
 
-    def _refresh_vrps(self, refresh_plans: bool = True) -> None:
-        if refresh_plans:
-            # The incremental RP's staleness fingerprint only tracks
-            # object counts; event streams can remove+add without
-            # changing them, so invalidate explicitly.
-            self._rp.refresh()
-        report = self._rp.validate(self._date)
-        old_vrps = self._rov._vrps  # noqa: SLF001 - same-package coupling
-        changed = vrp_delta(old_vrps, report.vrps)
-        if not changed:
-            # Identical VRP multiset: every covering set, hence every
-            # verdict and the (sorted) serialisation, is unchanged.
-            return
-        added, removed = vrp_churn(old_vrps, report.vrps)
-        obs.add("delta.vrps_added", added)
-        obs.add("delta.vrps_removed", removed)
-        new_rov = ROVValidator(report.vrps)
-        carried = new_rov.seed_from(self._rov, changed)
-        obs.add("delta.rov_verdicts_carried", carried)
+    def _apply_roa(self, event: Event) -> None:
+        """Patch one plan; re-classify its VRP's cover set if it emits."""
+        if self._vrp_trie is None:
+            # No VRP change yet: the base validator holds the live set.
+            self._vrp_trie = _trie_of(self._rov._vrps)  # noqa: SLF001
+        if isinstance(event, RoaIssued):
+            vrp = self._rp.roa_published(event.roa).vrp_at(self._date)
+            if vrp is None:
+                return
+            self._vrp_trie.insert(vrp.prefix, vrp)
+            obs.add("delta.vrps_added")
+        else:
+            vrp = self._rp.roa_withdrawn(event.roa).vrp_at(self._date)
+            if vrp is None:
+                return
+            self._vrp_trie.remove(vrp.prefix, vrp)
+            obs.add("delta.vrps_removed")
+        self._rov_stale = True
+        self._reclassify([vrp.prefix], rpki=True)
+
+    def _reclassify(self, changed: Iterable[Prefix], rpki: bool) -> None:
+        """Re-classify the routes ``changed`` covers; regroup the flips.
+
+        The reference classifiers run on the live covering sets: the VRP
+        trie for RPKI, the registry trie for IRR.
+        """
         cover = self._cover.affected(changed)
-        obs.add("delta.rpki_cover_routes", len(cover))
-        cover_routes = [self._routes[i] for i in cover]
-        new_status = new_rov.validate_many(cover_routes)
-        for key in cover_routes:
-            old = self._rpki_status[key]
-            new = new_status[key]
-            if new is old:
-                continue
-            if new.is_invalid != old.is_invalid:
-                self._regroup(key, rpki_flipped=True)
-            self._rpki_status[key] = new
-        self._rov = new_rov
-
-    def _reclassify_irr(self, changed_prefix: Prefix) -> None:
-        cover = self._cover.affected([changed_prefix])
-        obs.add("delta.irr_cover_routes", len(cover))
-        cover_set = set(cover)
-        # Carry every untouched verdict into the registry's fresh
-        # (version-tagged) memo; only the cover set is re-walked.
-        seed_memo(
-            self._state.irr,
-            {
-                key: status
-                for index, key in enumerate(self._routes)
-                if index not in cover_set
-                for status in (self._irr_status[key],)
-            },
+        obs.add(
+            "delta.rpki_cover_routes" if rpki else "delta.irr_cover_routes",
+            len(cover),
         )
-        cover_routes = [self._routes[i] for i in cover]
-        new_status = validate_irr_many(self._state.irr, cover_routes)
-        for key in cover_routes:
-            old = self._irr_status[key]
-            new = new_status[key]
+        if rpki:
+            statuses = self._rpki_status
+            covering = self._vrp_trie.covering
+            classify = rov_validation._classify  # noqa: SLF001
+        else:
+            statuses = self._irr_status
+            covering = self._state.irr.routes_covering
+            classify = irr_validation._classify  # noqa: SLF001
+        for index in cover:
+            key = self._routes[index]
+            prefix, asn = key
+            new = classify(covering(prefix), prefix, asn)
+            old = statuses[key]
             if new is old:
                 continue
-            if (new is IRRStatus.INVALID_ORIGIN) != (
-                old is IRRStatus.INVALID_ORIGIN
-            ):
-                self._regroup(key, rpki_flipped=False)
-            self._irr_status[key] = new
+            flipped = (
+                new.is_invalid != old.is_invalid
+                if rpki
+                else new.is_invalid_origin != old.is_invalid_origin
+            )
+            if flipped:
+                self._regroup(key, rpki_flipped=rpki)
+            statuses[key] = new
 
     def _regroup(self, key: tuple[Prefix, int], rpki_flipped: bool) -> None:
         """Move one route between (origin, class) buckets after a flip."""
@@ -267,9 +275,23 @@ class LiveWorld:
         with obs.span(
             "delta.materialise", events_applied=self._events_applied
         ):
+            self._seed_validators()
             world = self._materialise()
         self._cached_world = world
         return world
+
+    def _seed_validators(self) -> None:
+        """Bring the validator and the registry memo up to the live state.
+
+        The validator's VRPs come from the plans in plan order, so its
+        VRP list equals a cold rebuild's; both memos take the live
+        verdicts, which are exactly what either would compute itself.
+        """
+        if self._rov_stale:
+            self._rov = ROVValidator(self._rp.validate(self._date).vrps)
+            self._rov.seed_verdicts(self._rpki_status)
+            self._rov_stale = False
+        seed_memo(self._state.irr, self._irr_status)
 
     def _materialise(self) -> World:
         base = self._base
@@ -407,6 +429,13 @@ class LiveWorld:
         return IHRDataset(
             prefix_origins=prefix_origins, transit_groups=transit_groups
         )
+
+
+def _trie_of(vrps: Iterable[VRP]) -> RadixTree[VRP]:
+    trie: RadixTree[VRP] = RadixTree()
+    for vrp in vrps:
+        trie.insert(vrp.prefix, vrp)
+    return trie
 
 
 def run_job_at(job, at: str) -> dict[str, dict[str, str]]:

@@ -126,6 +126,7 @@ def _index_of(
         ),
         zero_asn_matches=True,
     )
+    obs.add("irr.interval_index_builds")
     try:
         registry._interval_index = (version, index)
     except AttributeError:  # e.g. a slotted test double

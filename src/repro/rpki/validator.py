@@ -19,6 +19,7 @@ walk is never repeated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -135,27 +136,51 @@ class _RoaPlan:
     #: unresolvable or over-claiming (statically invalid).
     chain_window: tuple[date, date]
     #: The VRP emitted whenever every check passes.
-    vrp: VRP
+    vrp: VRP | None
+
+    def reason_at(self, as_of: date) -> str | None:
+        """Why the ROA is rejected on ``as_of``; None when it validates."""
+        if self.static_reason is not None:
+            return self.static_reason
+        low, high = self.roa_window
+        if not low <= as_of <= high:
+            return "roa_expired"
+        if self.coverage_reason is not None:
+            return self.coverage_reason
+        low, high = self.chain_window
+        if not low <= as_of <= high:
+            return "bad_certificate_chain"
+        return None
+
+    def vrp_at(self, as_of: date) -> VRP | None:
+        """The VRP this ROA contributes on ``as_of``, if any."""
+        return self.vrp if self.reason_at(as_of) is None else None
 
 
 class IncrementalRelyingParty:
     """Relying party specialised for many validations at many dates.
 
     Results are identical to ``RelyingParty(repository).validate(as_of)``
-    (asserted in the equivalence tests); the precomputed per-ROA plans
-    are invalidated whenever the repository grows.
+    (asserted in the equivalence tests).  The per-ROA plans are aligned
+    with ``repository.roas``: they are rebuilt whenever the repository
+    changed behind the relying party's back, and patched in place — one
+    plan per call — by a caller that reports each ROA it publishes or
+    withdraws (:meth:`roa_published`, :meth:`roa_withdrawn`).
     """
 
     def __init__(self, repository: RPKIRepository):
         self._repository = repository
         self._plans: list[_RoaPlan] | None = None
-        self._fingerprint: tuple[int, int, int] | None = None
+        #: The ROAs the plans were made from, in plan order.
+        self._planned: list[ROA] = []
+        self._fingerprint: tuple[int, int] | None = None
+        self._chain_windows: dict[str, tuple[date, date]] = {}
 
-    def _current_fingerprint(self) -> tuple[int, int, int]:
-        # Revocation swaps a certificate in place (same id, same count),
-        # so the revoked tally must be part of the staleness check.
+    def _current_fingerprint(self) -> tuple[int, int]:
+        # The certificate half of the staleness check (the ROA half is
+        # the planned list's length).  Revocation swaps a certificate in
+        # place (same id, same count), so the revoked tally is part of it.
         return (
-            len(self._repository.roas),
             len(self._repository.certificates),
             sum(
                 1
@@ -164,83 +189,100 @@ class IncrementalRelyingParty:
             ),
         )
 
-    def refresh(self) -> None:
-        """Drop the precomputed plans; the next validate rebuilds them.
-
-        The fingerprint only tracks object *counts*, so an in-place
-        mutation that removes one object and adds another (a delta
-        event stream withdrawing one ROA and publishing a different one)
-        can leave the counts unchanged while invalidating every plan.
-        Callers that mutate the repository directly must call this after
-        each mutation batch.
-        """
-        self._plans = None
-        self._fingerprint = None
+    def _current_plans(self) -> list[_RoaPlan]:
+        """The per-ROA plans, in ``repository.roas`` order."""
+        fingerprint = self._current_fingerprint()
+        if (
+            not self._in_step(len(self._planned))
+            or fingerprint != self._fingerprint
+        ):
+            self._rebuild(fingerprint)
+        return self._plans
 
     def validate(self, as_of: date) -> ValidationReport:
         """Produce the VRP set a router would receive on ``as_of``."""
-        fingerprint = self._current_fingerprint()
-        if self._plans is None or fingerprint != self._fingerprint:
-            self._plans = self._build_plans()
-            self._fingerprint = fingerprint
         report = ValidationReport()
         vrps = report.vrps
-        for plan in self._plans:
-            if plan.static_reason is not None:
-                report._reject(plan.static_reason)
-                continue
-            low, high = plan.roa_window
-            if not low <= as_of <= high:
-                report._reject("roa_expired")
-                continue
-            if plan.coverage_reason is not None:
-                report._reject(plan.coverage_reason)
-                continue
-            low, high = plan.chain_window
-            if not low <= as_of <= high:
-                report._reject("bad_certificate_chain")
-                continue
-            vrps.append(plan.vrp)
+        for plan in self._current_plans():
+            reason = plan.reason_at(as_of)
+            if reason is None:
+                vrps.append(plan.vrp)
+            else:
+                report._reject(reason)
         obs.add("rpki.rp_runs")
         obs.add("rpki.vrps_emitted", len(vrps))
         obs.add("rpki.roas_rejected", report.rejected_total)
         return report
 
-    def _build_plans(self) -> list[_RoaPlan]:
-        repository = self._repository
-        chain_windows: dict[str, tuple[date, date]] = {}
-        plans: list[_RoaPlan] = []
-        for roa in repository.roas:
-            certificate = repository.certificates.get(roa.certificate_id)
-            if certificate is None:
-                plans.append(
-                    _RoaPlan("orphan_roa", _NEVER, None, _NEVER, None)
-                )
-                continue
-            coverage_reason = (
-                None
-                if certificate.covers(roa.prefix)
-                else "roa_outside_certificate"
-            )
-            chain_window = chain_windows.get(certificate.certificate_id)
-            if chain_window is None:
-                chain_window = self._chain_window(certificate)
-                chain_windows[certificate.certificate_id] = chain_window
-            plans.append(
-                _RoaPlan(
-                    None,
-                    (roa.not_before, roa.not_after),
-                    coverage_reason,
-                    chain_window,
-                    VRP(
-                        prefix=roa.prefix,
-                        asn=roa.asn,
-                        max_length=roa.max_length,
-                        trust_anchor=certificate.trust_anchor,
-                    ),
-                )
-            )
-        return plans
+    def roa_published(self, roa: ROA) -> _RoaPlan:
+        """The plan of ``roa``, just appended to the repository.
+
+        Plans made before the append grow by this one plan; plans that
+        are missing or out of step are rebuilt, and then already hold it.
+        """
+        if not self._in_step(len(self._planned) + 1):
+            return self._current_plans()[-1]
+        plan = self._plan(roa)
+        self._plans.append(plan)
+        self._planned.append(roa)
+        return plan
+
+    def roa_withdrawn(self, roa: ROA) -> _RoaPlan:
+        """The plan of ``roa``, just removed from the repository.
+
+        ``list.remove`` drops the first ROA equal to ``roa`` and leaves
+        every earlier entry the same object, so the first position where
+        the repository stops being the planned list by identity is the
+        plan to drop.  Out-of-step plans are rebuilt instead.
+        """
+        roas = self._repository.roas
+        if not self._in_step(len(self._planned) - 1):
+            self._current_plans()
+            return self._plan(roa)
+        try:
+            index = list(map(operator.is_, self._planned, roas)).index(False)
+        except ValueError:  # the withdrawn ROA was the last one
+            index = len(roas)
+        del self._planned[index]
+        return self._plans.pop(index)
+
+    def _in_step(self, expected_roas: int) -> bool:
+        """Whether plans exist and the repository holds ``expected_roas``."""
+        return (
+            self._plans is not None
+            and len(self._repository.roas) == expected_roas
+        )
+
+    def _rebuild(self, fingerprint: tuple[int, int]) -> None:
+        # Certificates may have changed too: chain windows start afresh.
+        self._chain_windows = {}
+        self._planned = list(self._repository.roas)
+        self._plans = [self._plan(roa) for roa in self._planned]
+        self._fingerprint = fingerprint
+        obs.add("rpki.rp_plans_built")
+
+    def _plan(self, roa: ROA) -> _RoaPlan:
+        certificate = self._repository.certificates.get(roa.certificate_id)
+        if certificate is None:
+            return _RoaPlan("orphan_roa", _NEVER, None, _NEVER, None)
+        chain_window = self._chain_windows.get(certificate.certificate_id)
+        if chain_window is None:
+            chain_window = self._chain_window(certificate)
+            self._chain_windows[certificate.certificate_id] = chain_window
+        return _RoaPlan(
+            None,
+            (roa.not_before, roa.not_after),
+            None
+            if certificate.covers(roa.prefix)
+            else "roa_outside_certificate",
+            chain_window,
+            VRP(
+                prefix=roa.prefix,
+                asn=roa.asn,
+                max_length=roa.max_length,
+                trust_anchor=certificate.trust_anchor,
+            ),
+        )
 
     def _chain_window(
         self, certificate: ResourceCertificate

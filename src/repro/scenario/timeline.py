@@ -163,7 +163,7 @@ class Timeline:
                 if previous is not None:
                     changed = vrp_delta(
                         previous.all_vrps(), report.vrps
-                    )
+                    ).changed
                     carried = validator.seed_from(previous, changed)
                     obs.add("timeline.rov_verdicts_carried", carried)
             obs.add("timeline.rov_years_validated")

@@ -17,16 +17,19 @@ the serving layer's ``at=`` live-world hook.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from datetime import date
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import obs
 from repro.config import RuntimeConfig, use
@@ -40,13 +43,14 @@ from repro.delta import (
     EVENT_KINDS,
     LiveWorld,
     RoaExpired,
+    RoaIssued,
     RouteCoverIndex,
     cold_rebuild,
     synthesize_events,
-    vrp_churn,
     vrp_delta,
 )
 from repro.errors import DeltaError
+from repro.experiments.registry import select
 from repro.net.prefix import Prefix
 from repro.registry.rir import RIR
 from repro.rpki.roa import ROA, VRP
@@ -129,7 +133,7 @@ vrp_strategy = st.builds(
 @settings(deadline=None)
 def test_verdict_diff_is_within_cover_set(old, new, routes):
     """Full-revalidation diff (before vs after) ⊆ the radix cover set."""
-    changed = vrp_delta(old, new)
+    changed = vrp_delta(old, new).changed
     cover = set(RouteCoverIndex(routes).affected(changed))
     before = ROVValidator(old).validate_many(routes)
     after = ROVValidator(new).validate_many(routes)
@@ -146,10 +150,12 @@ def test_vrp_delta_is_multiset_and_order_blind():
     other = Prefix.parse("192.168.0.0/16")
     a = VRP(prefix, 1, 8, list(RIR)[0])
     b = VRP(other, 2, 16, list(RIR)[0])
-    assert vrp_delta([a, b], [b, a]) == set()
-    assert vrp_delta([a, a, b], [a, b]) == {prefix}
-    assert vrp_churn([a, a, b], [a, b]) == (0, 1)
-    assert vrp_churn([a], [a, b, b]) == (2, 0)
+    assert vrp_delta([a, b], [b, a]).changed == set()
+    assert vrp_delta([a, a, b], [a, b]).changed == {prefix}
+    churn = vrp_delta([a, a, b], [a, b])
+    assert (churn.added, churn.removed) == (0, 1)
+    churn = vrp_delta([a], [a, b, b])
+    assert (churn.added, churn.removed) == (2, 0)
 
 
 # -- replay == rebuild (the tentpole invariant) ------------------------------
@@ -187,6 +193,141 @@ def test_every_event_kind_checkpoints_equal_python_kernels():
             assert dataset_digests(live.world()) == dataset_digests(
                 cold_rebuild(world, events[:applied])
             ), f"diverged after {applied} events ({type(event).__name__})"
+
+
+#: Instants an interleaved stream may move the live world to: before,
+#: at and after the snapshot, so ROA validity windows open and close.
+ADVANCE_DATES = (date(2019, 6, 30), date(2021, 7, 1), date(2033, 1, 1))
+
+
+def _prelude_events(world, prelude, salt):
+    """Two ROA events that open a stream, chosen by ``prelude``."""
+    if prelude == "duplicate":
+        # Publish an equal copy of a base ROA, then withdraw "it": the
+        # repository drops the *first* equal ROA, which is the original.
+        roas = world.rpki_repository.roas
+        roa = replace(roas[salt % len(roas)])
+    elif prelude == "roundtrip":
+        # Publish a new ROA and withdraw it again: its VRP must be gone.
+        (issued,) = synthesize_events(world, kinds=["RoaIssued"], seed=salt)
+        roa = issued.roa
+    else:
+        return []
+    return [RoaIssued(roa=roa), RoaExpired(roa=roa)]
+
+
+def _interleaved_checks(world, kinds, salt, actions, prelude):
+    """Replay ``kinds`` with ``actions`` interleaved; digest-check every
+    ``world()`` against a cold rebuild of the events so far."""
+    opening = _prelude_events(world, prelude, salt)
+    events = opening + synthesize_events(world, kinds=kinds, seed=salt)
+    actions = [None] * len(opening) + list(actions)
+    live = LiveWorld(world)
+
+    def check(applied):
+        replayed = live.world()
+        rebuilt = cold_rebuild(world, events[:applied], as_of=live.current_date)
+        assert dataset_digests(replayed) == dataset_digests(rebuilt), (
+            f"diverged after {applied} events at {live.current_date}"
+        )
+        # Plan order, not just the multiset: same-prefix VRPs serialise
+        # in list order.
+        assert replayed.rov._vrps == rebuilt.rov._vrps  # noqa: SLF001
+
+    for applied, event in enumerate(events, start=1):
+        live.apply(event)
+        action = actions[applied - 1] if applied <= len(actions) else None
+        if action == "world":
+            check(applied)
+        elif action is not None:
+            live.advance_to(action)
+    check(len(events))
+
+
+@given(
+    kinds=st.lists(st.sampled_from(EVENT_KINDS), min_size=1, max_size=4),
+    salt=st.integers(min_value=0, max_value=2**16),
+    actions=st.lists(
+        st.one_of(
+            st.none(), st.just("world"), st.sampled_from(ADVANCE_DATES)
+        ),
+        max_size=4,
+    ),
+    prelude=st.sampled_from([None, "duplicate", "roundtrip"]),
+)
+@example(kinds=["RoaIssued"], salt=0, actions=[], prelude=None)
+@example(kinds=["RoaExpired"], salt=0, actions=["world"], prelude="duplicate")
+@example(kinds=["RouteObjectAdded"], salt=0, actions=[], prelude="roundtrip")
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_interleaved_stream_equals_cold_rebuild_both_kernels(
+    kinds, salt, actions, prelude
+):
+    """Events, ``advance_to`` and mid-stream ``world()`` calls in any
+    order: every materialised instant equals a cold rebuild."""
+    world = delta_world()
+    for mode in kernel_modes():
+        with use(RuntimeConfig.resolve(kernels=mode)):
+            _interleaved_checks(world, kinds, salt, actions, prelude)
+
+
+def test_event_path_does_no_world_wide_work():
+    """RPKI and IRR events cost their cover set: no relying-party run,
+    no validator, at most one plan build and no IRR interval index."""
+    world = delta_world()
+    kinds = ["RoaIssued", "RoaExpired"] * 10 + [
+        "RouteObjectAdded",
+        "RouteObjectRemoved",
+    ] * 10
+    events = synthesize_events(world, kinds=kinds, seed=7)
+    live = LiveWorld(world)
+    watched = (
+        "rov.validators_built",
+        "rpki.rp_runs",
+        "rpki.rp_plans_built",
+        "irr.interval_index_builds",
+    )
+    before = {name: obs.counters().get(name, 0) for name in watched}
+    for event in events:
+        live.apply(event)
+    grown = {
+        name: obs.counters().get(name, 0) - before[name] for name in watched
+    }
+    assert grown["rov.validators_built"] == 0
+    assert grown["rpki.rp_runs"] == 0
+    assert grown["rpki.rp_plans_built"] <= 1
+    assert grown["irr.interval_index_builds"] == 0
+
+
+def test_completeness_skips_members_unknown_to_as2org():
+    """A synthesized ``MemberJoined`` names an organisation as2org has
+    never seen; the participation figures skip and count it."""
+    world = delta_world()
+    names = ("f70", "f83", "tab2")
+    before = obs.counters().get("participation.orgs_unmapped", 0)
+    rendered = {
+        spec.name: spec.render(spec.run(world)) for spec in select(names)
+    }
+    assert obs.counters().get("participation.orgs_unmapped", 0) == before
+    # Pinned renders: the skip leaves the base-world figures as they were.
+    assert {
+        name: hashlib.sha256(text.encode()).hexdigest()[:16]
+        for name, text in rendered.items()
+    } == {
+        "f70": "47f715aad5af9e4f",
+        "f83": "7bfad1b667b7474a",
+        "tab2": "b7346cc1fbebf203",
+    }
+    live = LiveWorld(world)
+    for event in synthesize_events(world, kinds=["MemberJoined"], seed=2):
+        live.apply(event)
+    current = live.world()
+    for spec in select(names):
+        assert spec.render(spec.run(current))
+    assert obs.counters().get("participation.orgs_unmapped", 0) > before
 
 
 def test_live_world_at_instant_zero_is_the_base():

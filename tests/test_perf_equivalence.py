@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -295,6 +296,32 @@ class TestIncrementalRelyingParty:
         assert len(after.vrps) == len(before.vrps) + 1
         slow = RelyingParty(repo).validate(date(2022, 1, 1))
         assert sorted(after.vrps, key=repr) == sorted(slow.vrps, key=repr)
+
+    def test_patched_plans_match_fresh_relying_party(self):
+        """Publishing and withdrawing ROAs patches one plan each; the
+        result equals a fresh relying party, VRP list order included."""
+        repo = self._repo()
+        incremental = IncrementalRelyingParty(repo)
+        incremental.validate(self.T0)
+        built = obs.counters().get("rpki.rp_plans_built", 0)
+        roas = list(repo.roas)
+        # A copy of the first ROA, then withdraw "it": list.remove drops
+        # the original at index 0, not the copy at the end.
+        duplicate = replace(roas[0])
+        repo.add_roa(duplicate)
+        incremental.roa_published(duplicate)
+        repo.roas.remove(duplicate)
+        incremental.roa_withdrawn(duplicate)
+        repo.roas.remove(roas[3])
+        incremental.roa_withdrawn(roas[3])
+        assert obs.counters().get("rpki.rp_plans_built", 0) == built
+        for year in range(2015, 2026):
+            as_of = date(year, 6, 30)
+            fast = incremental.validate(as_of)
+            slow = RelyingParty(repo).validate(as_of)
+            assert fast.vrps == slow.vrps, f"year={year}"
+            assert fast.rejected == slow.rejected, f"year={year}"
+        assert obs.counters().get("rpki.rp_plans_built", 0) == built
 
     def test_timeline_rov_matches_fresh(self, small_world):
         timeline = Timeline(small_world)
