@@ -32,7 +32,7 @@ trace-smoke:
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke.json
 
 ## Substrate benchmarks: end-to-end build + timeline, written to
-## BENCH_$(LABEL).json.  Override JOBS=4 to exercise parallel collection.
+## BENCH_$(LABEL).json.  JOBS=4 sizes the shard pools (with REPRO_SHARDS>1).
 bench:
 	$(PYTHON) benchmarks/run.py --label $(LABEL) --scale $(SCALE) \
 		$(if $(JOBS),--jobs $(JOBS))

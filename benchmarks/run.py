@@ -766,7 +766,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for collect_rib (default: REPRO_JOBS env)",
+        help="shard pool worker processes (default: REPRO_JOBS env)",
     )
     parser.add_argument(
         "--shards",

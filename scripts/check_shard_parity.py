@@ -5,8 +5,11 @@ the build stages sharded across worker processes (``--shards``, fanned
 over ``--jobs`` workers) — bypassing every cache, and fails unless the
 two worlds hash to the same digest.  The sharded world is then pushed
 through a checkpoint round-trip and re-opened both eagerly and as a
-memory-mapped columnar world; all four digests must agree.  This is the
-CI gate behind ``make scale-smoke``.
+memory-mapped columnar world; all four digests must agree.  The sharded
+build must also have run on its worker pools — at least two pool maps
+(collection and transit scoring), no discarded shard set and no
+unavailable pool — or the digest comparison would be serial against
+serial.  This is the CI gate behind ``make scale-smoke``.
 
 Usage::
 
@@ -28,6 +31,7 @@ from repro.datasets.checkpoint import (  # noqa: E402
     CheckpointStore,
     world_digest,
 )
+from repro.obs import metrics  # noqa: E402
 from repro.scenario.build import _build_world  # noqa: E402
 from repro.scenario.config import ScenarioConfig  # noqa: E402
 
@@ -49,11 +53,27 @@ def main(argv: list[str] | None = None) -> int:
     digests["serial"] = world_digest(serial)
     del serial
 
+    pool_counters = ("shard.pool_maps", "shard.discarded", "shard.pool_unavailable")
+    before = {name: metrics.counters().get(name, 0) for name in pool_counters}
     start = time.perf_counter()
     sharded = _build_world(
         args.scale, args.seed, None, None, None, args.jobs, args.shards
     )
     timings["sharded"] = time.perf_counter() - start
+    pools = {
+        name: metrics.counters().get(name, 0) - before[name]
+        for name in pool_counters
+    }
+    if (
+        pools["shard.pool_maps"] < 2
+        or pools["shard.discarded"]
+        or pools["shard.pool_unavailable"]
+    ):
+        print(
+            f"SHARD PARITY FAIL: the sharded build fell back ({pools})",
+            file=sys.stderr,
+        )
+        return 1
     digests["sharded"] = world_digest(sharded)
 
     with tempfile.TemporaryDirectory(prefix="repro-shard-parity-") as tmp:

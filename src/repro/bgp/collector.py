@@ -16,18 +16,19 @@ points (mostly large transit networks); §11 of the paper calls this out as
 the main limitation.  :func:`select_vantage_points` reproduces that bias:
 all large transits, a sample of mediums, and a few edge networks.
 
-Collection parallelises across (origin, filter-class) groups: with
-``REPRO_JOBS=N`` (or an explicit ``jobs=`` argument) the per-origin
-propagation fans out over a process pool.  Workers receive a pickled
-engine once, results are reassembled in the same deterministic order the
-serial path uses, so parallel and serial snapshots are identical.
+Collection shards across (origin, filter-class) groups: with
+``REPRO_SHARDS=N`` (or an explicit ``shards=`` argument) contiguous
+route-group ranges propagate on a process pool of ``jobs`` workers.
+Workers inherit the engine once, emit packed path columns, and the
+driver reassembles them in the serial group order, so sharded and
+serial snapshots are identical.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,10 +45,10 @@ from repro.shard import (
     SpillError,
     check_shard_manifests,
     pool_map_consume,
+    range_tasks,
     resolve_build_budget,
     resolve_shards,
     shard_manifest,
-    split_evenly,
 )
 from repro.topology.classify import SizeClass, classify_all
 from repro.topology.model import ASTopology
@@ -55,10 +56,6 @@ from repro.topology.model import ASTopology
 __all__ = ["RouteGroup", "RibSnapshot", "collect_rib", "select_vantage_points"]
 
 log = logging.getLogger(__name__)
-
-#: Below this many (origin, class) groups the pool overhead cannot pay
-#: for itself; collection stays serial regardless of ``jobs``.
-MIN_PARALLEL_GROUPS = 256
 
 
 @dataclass(frozen=True)
@@ -188,19 +185,14 @@ def collect_rib(
     duration of the call; ``jobs``/``shards`` arguments still win over
     it when given explicitly.
 
-    ``jobs`` (default: the runtime config, whose fallback is the
-    ``REPRO_JOBS`` environment variable, else serial) fans the per-group
-    propagation across worker processes.  The output is identical either
-    way: groups are keyed and emitted in one deterministic order, and
-    each group's paths depend only on (origin, route class, vantage
-    points).
-
     ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else 1)
-    instead splits the *vantage points* into contiguous chunks, each
-    propagated by a worker that emits packed path columns; the driver
-    merges the column shards in shard order, which reproduces the serial
-    vantage-point iteration order exactly — see DESIGN §13 for the
-    determinism argument.
+    splits the sorted route groups into contiguous ranges, each
+    propagated by a worker that emits packed path columns; ``jobs``
+    (default: the runtime config / ``REPRO_JOBS``) sizes that worker
+    pool.  The driver rebuilds the per-group path dicts in shard order,
+    which is the serial group order, and each group's dict is computed
+    whole by one worker iterating the vantage points in serial order —
+    so the snapshot is identical at any shard count (DESIGN §13).
     """
     with _config.use(runtime):
         return _collect_rib(engine, announcements, vantage_points, jobs, shards)
@@ -234,20 +226,12 @@ def _collect_rib(
     engine.ensure_cache_capacity(len(keys))
     shards = resolve_shards(shards)
     paths_by_key = None
-    if shards > 1 and len(vantage_points) > 1:
+    if shards > 1 and len(keys) > 1:
         paths_by_key = _sharded_paths(
             engine, keys, vantage_points, shards, jobs
         )
-    if paths_by_key is None and jobs > 1 and len(keys) >= MIN_PARALLEL_GROUPS:
-        paths_by_key = _parallel_paths(engine, keys, vantage_points, jobs)
     if paths_by_key is None:
-        if kernels.use_numpy():
-            paths_by_key = engine.paths_to_many(keys, vantage_points)
-        else:
-            paths_by_key = [
-                engine.paths_to(origin, vantage_points, route_class)
-                for origin, route_class in keys
-            ]
+        paths_by_key = _paths_of(engine, keys, vantage_points)
     obs.add(
         "collect.routes_propagated",
         sum(len(paths) for paths in paths_by_key),
@@ -264,65 +248,73 @@ def _collect_rib(
     return RibSnapshot(vantage_points=vantage_points, groups=groups)
 
 
-# Worker-process state, installed once per worker by the pool initializer
-# (cheaper than pickling the engine into every task).
-_worker_engine: PropagationEngine | None = None
-_worker_vantage_points: tuple[int, ...] = ()
-_worker_keys: list[tuple[int, RouteClass]] = []
-
-
-def _init_worker(
-    engine: PropagationEngine, vantage_points: tuple[int, ...]
-) -> None:
-    global _worker_engine, _worker_vantage_points
-    _worker_engine = engine
-    _worker_vantage_points = vantage_points
-
-
-def _propagate_chunk(
-    keys: list[tuple[int, RouteClass]],
+def _paths_of(
+    engine: PropagationEngine,
+    keys: Sequence[tuple[int, RouteClass]],
+    vantage_points: tuple[int, ...],
 ) -> list[dict[int, tuple[int, ...]]]:
-    assert _worker_engine is not None
+    """Per-key path dicts: the batch kernel under numpy, else the
+    scalar ``paths_to`` loop (the serial path and every shard worker)."""
+    if kernels.use_numpy():
+        return engine.paths_to_many(keys, vantage_points)
     return [
-        _worker_engine.paths_to(origin, _worker_vantage_points, route_class)
+        engine.paths_to(origin, vantage_points, route_class)
         for origin, route_class in keys
     ]
 
 
+# Worker-process state, installed once per worker by the pool initializer
+# (a fork-context pool inherits it: nothing here is pickled per task).
+_worker_engine: PropagationEngine | None = None
+_worker_keys: list[tuple[int, RouteClass]] = []
+_worker_vantage_points: tuple[int, ...] = ()
+
+
 def _init_shard_worker(
-    engine: PropagationEngine, keys: list[tuple[int, RouteClass]]
+    engine: PropagationEngine,
+    keys: list[tuple[int, RouteClass]],
+    vantage_points: tuple[int, ...],
 ) -> None:
-    global _worker_engine, _worker_keys
+    global _worker_engine, _worker_keys, _worker_vantage_points
     _worker_engine = engine
     _worker_keys = keys
+    _worker_vantage_points = vantage_points
 
 
-def _propagate_vp_shard(task: tuple) -> tuple[dict, dict[str, np.ndarray]]:
-    """Propagate every route group onto one vantage-point chunk.
+def _propagate_key_shard(task: tuple) -> tuple[dict, dict[str, np.ndarray]]:
+    """Propagate one contiguous route-group range onto every vantage point.
 
     Emits a column shard: per-key selected vantage points plus their
     flattened AS paths, with offset arrays delimiting both levels.  The
-    within-chunk entry order is the chunk's vantage-point order, exactly
-    as ``paths_to`` iterates it.
+    within-key entry order is the vantage-point order the serial path
+    inserts in.
     """
-    index, total, vp_chunk = task
+    index, total, start, stop = task
     assert _worker_engine is not None
+    paths_by_key = _paths_of(
+        _worker_engine, _worker_keys[start:stop], _worker_vantage_points
+    )
     vp_ids: list[int] = []
-    key_offsets = np.zeros(len(_worker_keys) + 1, dtype=np.int64)
-    path_values: list[int] = []
-    path_offsets: list[int] = [0]
-    for slot, (origin, route_class) in enumerate(_worker_keys):
-        paths = _worker_engine.paths_to(origin, vp_chunk, route_class)
-        for vantage_point, path in paths.items():
-            vp_ids.append(vantage_point)
-            path_values.extend(path)
-            path_offsets.append(len(path_values))
-        key_offsets[slot + 1] = len(vp_ids)
+    paths: list[tuple[int, ...]] = []
+    key_offsets = [0]
+    for key_paths in paths_by_key:
+        vp_ids.extend(key_paths)
+        paths.extend(key_paths.values())
+        key_offsets.append(len(vp_ids))
+    path_offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, paths), dtype=np.int64, count=len(paths)),
+        out=path_offsets[1:],
+    )
     columns = {
         "vp": np.asarray(vp_ids, dtype=np.int64),
-        "key_offsets": key_offsets,
-        "path_values": np.asarray(path_values, dtype=np.int64),
-        "path_offsets": np.asarray(path_offsets, dtype=np.int64),
+        "key_offsets": np.asarray(key_offsets, dtype=np.int64),
+        "path_values": np.fromiter(
+            chain.from_iterable(paths),
+            dtype=np.int64,
+            count=int(path_offsets[-1]),
+        ),
+        "path_offsets": path_offsets,
     }
     return shard_manifest("collect_rib", index, total, len(vp_ids)), columns
 
@@ -334,19 +326,18 @@ def _sharded_paths(
     shards: int,
     jobs: int,
 ) -> list[dict[int, tuple[int, ...]]] | None:
-    """Vantage-point-sharded collection; None falls back to other paths.
+    """Route-group-range sharded collection; None falls back serial.
 
-    Chunks are contiguous slices of the vantage-point tuple and shards
-    merge in ascending index, so per-key path dicts are populated in the
-    exact order the serial ``paths_to`` inserts them — bit-identical
-    snapshots at any shard count.
+    Ranges are contiguous slices of the sorted keys and shards merge in
+    ascending index, so the per-key path dicts come back in the serial
+    key order, each with the serial vantage-point insertion order —
+    bit-identical snapshots at any shard count.
     """
-    chunks = split_evenly(vantage_points, shards)
-    total = len(chunks)
-    tasks = [(index, total, tuple(chunk)) for index, chunk in enumerate(chunks)]
-    obs.add("collect.vp_shards", total)
+    tasks = range_tasks(len(keys), shards)
+    total = len(tasks)
+    obs.add("collect.key_shards", total)
     manifests: list[dict] = []
-    rows_seen: list[int] = []
+    shapes_seen: list[tuple[int, int]] = []
     try:
         with ColumnAccumulator(
             "collect_rib", budget_bytes=resolve_build_budget()
@@ -355,25 +346,30 @@ def _sharded_paths(
             def consume(result: tuple[dict, dict[str, np.ndarray]]) -> None:
                 manifest, columns = result
                 manifests.append(manifest)
-                # Row accounting is captured on arrival, before the block
-                # may spill, so validation never forces a read-back.
-                rows_seen.append(int(columns["key_offsets"][-1]))
+                # Key and row accounting is captured on arrival, before
+                # the block may spill, so validation never forces a
+                # read-back.
+                key_offsets = columns["key_offsets"]
+                shapes_seen.append((len(key_offsets) - 1, int(key_offsets[-1])))
                 accumulator.append(columns)
 
             ok = pool_map_consume(
-                _propagate_vp_shard,
+                _propagate_key_shard,
                 tasks,
                 workers=max(jobs, 1),
                 consume=consume,
                 initializer=_init_shard_worker,
-                initargs=(engine, keys),
+                initargs=(engine, keys, vantage_points),
             )
             if not ok:
                 return None
             problems = check_shard_manifests(manifests, "collect_rib", total)
             if not problems:
-                for manifest, rows in zip(manifests, rows_seen):
-                    if rows != manifest["rows"]:
+                for manifest, task, (key_count, rows) in zip(
+                    manifests, tasks, shapes_seen
+                ):
+                    _, _, start, stop = task
+                    if key_count != stop - start or rows != manifest["rows"]:
                         problems.append(
                             f"shard {manifest['shard']}: "
                             "row accounting mismatch"
@@ -386,22 +382,22 @@ def _sharded_paths(
                 )
                 obs.add("shard.discarded")
                 return None
-            paths_by_key: list[dict[int, tuple[int, ...]]] = [{} for _ in keys]
-            # Ascending shard index == vp order; one block resident at a
+            paths_by_key: list[dict[int, tuple[int, ...]]] = []
+            # Ascending shard index == key order; one block resident at a
             # time, so spilled shards never re-accumulate in memory.
             for columns in accumulator.blocks():
                 vp_ids = columns["vp"].tolist()
                 key_offsets = columns["key_offsets"].tolist()
-                path_values = columns["path_values"].tolist()
-                path_offsets = columns["path_offsets"].tolist()
-                for slot in range(len(keys)):
-                    merged = paths_by_key[slot]
-                    for entry in range(key_offsets[slot], key_offsets[slot + 1]):
-                        merged[vp_ids[entry]] = tuple(
-                            path_values[
-                                path_offsets[entry] : path_offsets[entry + 1]
-                            ]
-                        )
+                values = columns["path_values"].tolist()
+                offsets = columns["path_offsets"].tolist()
+                paths = [
+                    tuple(values[first:last])
+                    for first, last in zip(offsets, offsets[1:])
+                ]
+                for first, last in zip(key_offsets, key_offsets[1:]):
+                    paths_by_key.append(
+                        dict(zip(vp_ids[first:last], paths[first:last]))
+                    )
             return paths_by_key
     except SpillError as error:
         log.warning(
@@ -409,38 +405,4 @@ def _sharded_paths(
             error,
         )
         obs.add("shard.discarded")
-        return None
-
-
-def _parallel_paths(
-    engine: PropagationEngine,
-    keys: list[tuple[int, RouteClass]],
-    vantage_points: tuple[int, ...],
-    jobs: int,
-) -> list[dict[int, tuple[int, ...]]] | None:
-    """Fan ``paths_to`` across a process pool; None on pool failure.
-
-    Chunks are mapped in order, so the flattened result lines up with
-    ``keys`` and collection stays bit-identical to the serial path.
-    """
-    chunk_size = max(1, len(keys) // (jobs * 4))
-    chunks = [
-        keys[start : start + chunk_size]
-        for start in range(0, len(keys), chunk_size)
-    ]
-    obs.add("collect.parallel_chunks", len(chunks))
-    obs.gauge("collect.pool_workers", jobs)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(engine, vantage_points),
-        ) as pool:
-            results: list[dict[int, tuple[int, ...]]] = []
-            for chunk_paths in pool.map(_propagate_chunk, chunks):
-                results.extend(chunk_paths)
-        return results
-    except OSError:
-        # No usable process pool (e.g. sandboxed /dev/shm): fall back to
-        # serial rather than failing collection.
         return None

@@ -85,7 +85,7 @@ class RuntimeConfig:
     warm starts, no on-disk store.
     """
 
-    #: Worker processes for parallel collection/sharding (0 = all cores).
+    #: Worker processes per shard pool (0 = all cores).
     jobs: int = 1
     #: Column shards for the dominant build stages (1 = sharding off).
     shards: int = 1

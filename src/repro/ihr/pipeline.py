@@ -39,10 +39,10 @@ from repro.rpki.rov import ROVValidator
 from repro.shard import (
     check_shard_manifests,
     pool_map_consume,
+    range_tasks,
     resolve_build_budget,
     resolve_shards,
     shard_manifest,
-    split_evenly,
 )
 from repro.topology.model import ASTopology
 
@@ -50,8 +50,8 @@ __all__ = ["build_ihr_dataset", "transit_groups_indexed"]
 
 log = logging.getLogger(__name__)
 
-#: Below this many visible route groups the per-pool topology pickling
-#: cannot pay for itself; transit scoring stays in-process.
+#: Below this many visible route groups a pool cannot pay for itself;
+#: transit scoring stays in-process.
 MIN_SHARD_GROUPS = 64
 
 #: Flat-path working-set bound (bytes) for one in-process hegemony
@@ -79,10 +79,10 @@ def build_ihr_dataset(
     learned-from-customer flags are computed once per group.
 
     ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else 1)
-    fans both the bulk route validation (by prefix range) and the
-    transit scoring (by route-group chunk) across a process pool;
-    per-route verdicts and per-group hegemony are independent, so the
-    sharded dataset is identical.  ``runtime`` installs a
+    fans the transit scoring (by route-group range) across a process
+    pool; per-group hegemony is independent of every other group, so
+    the sharded dataset is identical.  Route validation always runs the
+    in-process bulk kernel.  ``runtime`` installs a
     :class:`repro.config.RuntimeConfig` for the duration of the call.
     """
     if runtime is not None:
@@ -99,8 +99,8 @@ def build_ihr_dataset(
             for group in visible
             for prefix in group.prefixes
         ]
-        rpki_by_route = rov.validate_many(routes, shards=shards, jobs=jobs)
-        irr_by_route = validate_irr_many(irr, routes, shards=shards, jobs=jobs)
+        rpki_by_route = rov.validate_many(routes)
+        irr_by_route = validate_irr_many(irr, routes)
     with obs.span("ihr.hegemony"):
         group_statuses: list[tuple] = []
         for group in visible:
@@ -396,34 +396,45 @@ def _customer_learning(
     return learned
 
 
-# Worker-process state for group-chunk sharded transit scoring, installed
-# once per worker by the pool initializer (the topology pickles once).
+# Worker-process state for range-sharded transit scoring, installed once
+# per worker by the pool initializer (a fork-context pool inherits it:
+# tasks carry only their group range).
 _shard_topology: ASTopology | None = None
 _shard_trim: float = DEFAULT_TRIM
+_shard_visible: list[RouteGroup] = []
+_shard_statuses: list[tuple] = []
 
 
-def _init_ihr_shard_worker(topology: ASTopology, trim: float) -> None:
-    global _shard_topology, _shard_trim
+def _init_ihr_shard_worker(
+    topology: ASTopology,
+    trim: float,
+    visible: list[RouteGroup],
+    group_statuses: list[tuple],
+) -> None:
+    global _shard_topology, _shard_trim, _shard_visible, _shard_statuses
     _shard_topology = topology
     _shard_trim = trim
+    _shard_visible = visible
+    _shard_statuses = group_statuses
 
 
 def _transit_shard(task: tuple) -> tuple[dict, tuple]:
-    """Score one route-group chunk; emits hegemony column shards.
+    """Score one route-group range; emits hegemony column shards.
 
-    Group ids in the emitted columns are chunk-local — the driver
-    materialises each shard's groups directly against its own chunk.
+    Group ids in the emitted columns are range-local — the driver
+    materialises each shard's groups directly against its own range.
     Under the python kernels the shard carries finished TransitGroups
     instead (the reference loop has no columnar intermediate).
     """
-    index, total, chunk, chunk_statuses = task
+    index, total, start, stop = task
     assert _shard_topology is not None
+    chunk = _shard_visible[start:stop]
     if kernels.use_numpy():
         columns = _hegemony_columns(chunk, _shard_topology, _shard_trim)
         manifest = shard_manifest("ihr.transit", index, total, len(columns[0]))
         return manifest, ("columns", columns)
     groups = _transit_groups_python(
-        chunk, list(chunk_statuses), _shard_topology, _shard_trim
+        chunk, _shard_statuses[start:stop], _shard_topology, _shard_trim
     )
     manifest = shard_manifest("ihr.transit", index, total, len(groups))
     return manifest, ("groups", groups)
@@ -437,32 +448,23 @@ def _sharded_transit_groups(
     shards: int,
     jobs: int | None,
 ) -> list[TransitGroup] | None:
-    """Group-chunk sharded transit scoring; None falls back in-process.
+    """Range-sharded transit scoring; None falls back in-process.
 
-    Chunks are contiguous slices of ``visible`` and every group's rows
+    Ranges are contiguous slices of ``visible`` and every group's rows
     depend only on its own paths, so materialising each shard's groups
-    from its chunk-local columns and extending in ascending shard order
+    from its range-local columns and extending in ascending shard order
     reproduces the unsharded reduction exactly.
     """
-    chunks = split_evenly(visible, shards)
-    total = len(chunks)
-    status_chunks: list[list[tuple]] = []
-    start = 0
-    for chunk in chunks:
-        status_chunks.append(group_statuses[start : start + len(chunk)])
-        start += len(chunk)
-    tasks = [
-        (index, total, list(chunk), status_chunks[index])
-        for index, chunk in enumerate(chunks)
-    ]
+    tasks = range_tasks(len(visible), shards)
+    total = len(tasks)
     obs.add("ihr.transit_shards", total)
     manifests: list[dict] = []
     kinds: set[str] = set()
     parts: list[list[TransitGroup]] = []
 
     def consume(result: tuple[dict, tuple]) -> None:
-        # Shard columns carry chunk-local group ids, so each shard's
-        # TransitGroups materialise on arrival against its own chunk —
+        # Shard columns carry range-local group ids, so each shard's
+        # TransitGroups materialise on arrival against its own range —
         # no global column concatenation, at most one shard's columns
         # resident.  Should manifest validation below reject the set,
         # the materialised parts are discarded wholesale (the usual
@@ -472,11 +474,10 @@ def _sharded_transit_groups(
         manifests.append(manifest)
         kinds.add(payload[0])
         if payload[0] == "columns" and position < total:
+            _, _, start, stop = tasks[position]
             parts.append(
                 _groups_from_columns(
-                    list(chunks[position]),
-                    status_chunks[position],
-                    payload[1],
+                    visible[start:stop], group_statuses[start:stop], payload[1]
                 )
             )
         elif payload[0] == "groups":
@@ -488,7 +489,7 @@ def _sharded_transit_groups(
         workers=obs.resolve_jobs(jobs),
         consume=consume,
         initializer=_init_ihr_shard_worker,
-        initargs=(topology, trim),
+        initargs=(topology, trim, visible, group_statuses),
     )
     if not ok:
         return None

@@ -16,11 +16,8 @@ O(prefix length) regardless of table size.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from typing import Iterable
-
-import numpy as np
 
 from repro import config as _config
 from repro import kernels, obs
@@ -29,24 +26,8 @@ from repro.kernels.intervals import RouteIntervalIndex
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 from repro.rpki.roa import VRP
-from repro.shard import (
-    ColumnAccumulator,
-    SpillError,
-    check_shard_manifests,
-    pool_map_consume,
-    resolve_build_budget,
-    resolve_shards,
-    shard_manifest,
-    split_evenly,
-)
 
 __all__ = ["RPKIStatus", "ROVValidator"]
-
-log = logging.getLogger(__name__)
-
-#: Below this many pending routes the per-pool VRP pickling cannot pay
-#: for itself; bulk validation stays in-process regardless of shards.
-MIN_SHARD_ROUTES = 2048
 
 
 class RPKIStatus(str, Enum):
@@ -83,9 +64,6 @@ _STATUS_BY_CODE = (
     RPKIStatus.INVALID_LENGTH,
     RPKIStatus.INVALID_ASN,
 )
-
-#: The inverse mapping, for packing verdicts into column shards.
-_CODE_BY_STATUS = {status: code for code, status in enumerate(_STATUS_BY_CODE)}
 
 
 class ROVValidator:
@@ -169,73 +147,9 @@ class ROVValidator:
             for prefix, origin in pending
         ]
 
-    def _sharded_statuses(
-        self, pending: list[tuple[Prefix, int]], shards: int, jobs: int
-    ) -> list[RPKIStatus] | None:
-        """Classify prefix-range shards on a process pool; None = fall back.
-
-        ``pending`` must already be sorted, so each contiguous chunk is
-        one prefix range.  Workers emit verdict-code column shards which
-        concatenate in shard order; verdicts are per-route pure, so the
-        result is identical to the in-process bulk walk.
-        """
-        chunks = split_evenly(pending, shards)
-        total = len(chunks)
-        tasks = [(index, total, list(chunk)) for index, chunk in enumerate(chunks)]
-        obs.add("rov.validate_shards", total)
-        manifests: list[dict] = []
-        rows_seen = 0
-        try:
-            with ColumnAccumulator(
-                "rov.validate", budget_bytes=resolve_build_budget()
-            ) as accumulator:
-
-                def consume(result: tuple[dict, np.ndarray]) -> None:
-                    nonlocal rows_seen
-                    manifest, codes = result
-                    manifests.append(manifest)
-                    rows_seen += len(codes)
-                    accumulator.append({"codes": codes})
-
-                ok = pool_map_consume(
-                    _classify_route_shard,
-                    tasks,
-                    workers=max(jobs, 1),
-                    consume=consume,
-                    initializer=_init_rov_shard_worker,
-                    initargs=(self._vrps,),
-                )
-                if not ok:
-                    return None
-                problems = check_shard_manifests(
-                    manifests, "rov.validate", total
-                )
-                if not problems and rows_seen != len(pending):
-                    problems.append("row accounting mismatch")
-                if problems:
-                    log.warning(
-                        "discarding sharded ROV validation (%s); recomputing "
-                        "unsharded",
-                        "; ".join(problems),
-                    )
-                    obs.add("shard.discarded")
-                    return None
-                codes = accumulator.concat()["codes"]
-        except SpillError as error:
-            log.warning(
-                "discarding sharded ROV validation (%s); recomputing "
-                "unsharded",
-                error,
-            )
-            obs.add("shard.discarded")
-            return None
-        return [_STATUS_BY_CODE[code] for code in codes.tolist()]
-
     def validate_many(
         self,
         routes: Iterable[tuple[Prefix, int]],
-        shards: int | None = None,
-        jobs: int | None = None,
         runtime: RuntimeConfig | None = None,
     ) -> dict[tuple[Prefix, int], RPKIStatus]:
         """Classify a batch of routes with one bulk trie walk.
@@ -244,15 +158,13 @@ class ROVValidator:
         VRPs for all not-yet-memoised prefixes are gathered via
         :meth:`RadixTree.covering_many` first.
 
-        ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else
-        1) fans the bulk classification across a process pool by prefix
-        range; verdicts are per-route pure, so the sharded result is
-        identical.  ``runtime`` installs a
-        :class:`repro.config.RuntimeConfig` for the duration of the call.
+        ``runtime`` installs a :class:`repro.config.RuntimeConfig` for
+        the duration of the call.  The bulk kernel always runs
+        in-process: it is cheaper than any worker pool (DESIGN §13).
         """
         if runtime is not None:
             with _config.use(runtime):
-                return self.validate_many(routes, shards=shards, jobs=jobs)
+                return self.validate_many(routes)
         routes = set(routes)
         results: dict[tuple[Prefix, int], RPKIStatus] = {}
         pending: list[tuple[Prefix, int]] = []
@@ -263,17 +175,7 @@ class ROVValidator:
             else:
                 results[key] = status
         if pending:
-            statuses = None
-            shards = resolve_shards(shards)
-            if shards > 1 and len(pending) >= MIN_SHARD_ROUTES:
-                # Sort so chunks are genuine prefix ranges (and shard
-                # boundaries never depend on set-iteration order).
-                pending.sort()
-                statuses = self._sharded_statuses(
-                    pending, shards, obs.resolve_jobs(jobs)
-                )
-            if statuses is None:
-                statuses = self._classify_pending(pending)
+            statuses = self._classify_pending(pending)
             tallies: dict[RPKIStatus, int] = {}
             for key, status in zip(pending, statuses):
                 self._memo[key] = status
@@ -358,25 +260,3 @@ class ROVValidator:
                 result.append(prefix)
         return result
 
-
-# Worker-process state for prefix-range sharded validation, installed
-# once per worker by the pool initializer (the VRP list pickles once).
-_shard_validator: ROVValidator | None = None
-
-
-def _init_rov_shard_worker(vrps: list[VRP]) -> None:
-    global _shard_validator
-    _shard_validator = ROVValidator(vrps)
-
-
-def _classify_route_shard(task: tuple) -> tuple[dict, np.ndarray]:
-    """Classify one prefix-range chunk; emits a verdict-code column."""
-    index, total, chunk = task
-    assert _shard_validator is not None
-    statuses = _shard_validator._classify_pending(chunk)
-    codes = np.fromiter(
-        (_CODE_BY_STATUS[status] for status in statuses),
-        dtype=np.int8,
-        count=len(statuses),
-    )
-    return shard_manifest("rov.validate", index, total, len(chunk)), codes

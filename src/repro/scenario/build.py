@@ -87,17 +87,13 @@ def build_world(
     shard/worker counts, path-cache sizing) honours the explicit object
     instead of the environment.
 
-    ``jobs`` sets the worker count for the RIB-collection fan-out
-    (``None`` defers to the runtime config, whose fallback is the
-    ``REPRO_JOBS`` environment variable; the result is identical at any
-    worker count).
-
     ``shards`` (``None`` defers to the runtime config / ``REPRO_SHARDS``,
-    else 1) shards the three dominant stages across worker processes —
-    RIB collection by vantage-point chunk, ROV/IRR bulk validation by
-    prefix range, transit scoring by route-group chunk.  Workers emit
-    column shards merged in deterministic shard order, so the built world
-    is byte-identical at any shard count (DESIGN §13).
+    else 1) shards the two dominant stages — RIB collection and transit
+    scoring — by route-group range across a pool of ``jobs`` worker
+    processes (``None`` defers to the runtime config / ``REPRO_JOBS``).
+    Workers emit column shards merged in deterministic shard order, so
+    the built world is byte-identical at any shard or worker count
+    (DESIGN §13).
     """
     with _runtime_config.use(runtime), obs.gc_paused(freeze=True):
         return _build_world(
@@ -175,8 +171,8 @@ def _build_world(
         ]
         # Bulk classification also warms the validators' per-route memos,
         # which the IHR pipeline re-queries for the visible routes below.
-        rpki_by_route = rov.validate_many(routes, shards=shards, jobs=jobs)
-        irr_by_route = validate_irr_many(ctx.irr, routes, shards=shards, jobs=jobs)
+        rpki_by_route = rov.validate_many(routes)
+        irr_by_route = validate_irr_many(ctx.irr, routes)
         obs.add("build.routes_classified", len(routes))
         obs.add(
             "build.routes_rpki_invalid",

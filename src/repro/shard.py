@@ -1,19 +1,21 @@
 """Deterministic sharding for the dominant world-build stages.
 
-The scale-10 build cannot sit resident as one object graph, so the
-three expensive stages stream through worker processes instead:
-RIB collection shards by **vantage-point chunk**, ROV/IRR bulk
-validation by **prefix range**, and IHR transit scoring by
-**origin-class (route-group) chunk**.  Workers emit *column shards* —
-flat integer arrays plus a tiny manifest — and the driver concatenates
-them in shard order.
+The scale-10 build cannot sit resident as one object graph, so the two
+stages with the largest derived datasets stream through worker
+processes instead: RIB collection and IHR transit scoring both shard by
+**route-group (origin, class) range**.  A task names only its range;
+the stage inputs reach the workers once, through the pool initializer
+of a ``fork``-context pool.  Workers emit *column shards* — flat
+integer arrays plus a tiny manifest — and the driver concatenates them
+in shard order.  Route classification is not sharded: its serial bulk
+kernel is cheaper than a pool (DESIGN §13).
 
 Determinism is structural, not incidental (DESIGN §13):
 
 * shards are **contiguous slices** of an already-deterministically
   ordered sequence (``split_evenly`` never reorders);
-* each worker's output depends only on its own slice (propagation,
-  RFC 6811/IRR verdicts and per-group hegemony are all per-item pure);
+* each worker's output depends only on its own slice (propagation and
+  per-group hegemony are both per-group pure);
 * the driver concatenates in ascending shard index, which therefore
   reproduces exactly the serial iteration order.
 
@@ -30,6 +32,7 @@ default shard count (1 = sharding off).
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -47,8 +50,8 @@ __all__ = [
     "ColumnAccumulator",
     "SpillError",
     "check_shard_manifests",
-    "pool_map",
     "pool_map_consume",
+    "range_tasks",
     "resolve_build_budget",
     "resolve_shards",
     "shard_manifest",
@@ -63,7 +66,7 @@ BUILD_BUDGET_ENV = "REPRO_BUILD_BUDGET_MB"
 
 #: Bumped whenever the inter-process shard column layout changes; a
 #: worker/driver version skew discards the shard and falls back serial.
-SHARD_SCHEMA_VERSION = 1
+SHARD_SCHEMA_VERSION = 2
 
 T = TypeVar("T")
 
@@ -94,6 +97,21 @@ def split_evenly(items: Sequence[T], shards: int) -> list[Sequence[T]]:
             chunks.append(items[start : start + size])
         start += size
     return chunks
+
+
+def range_tasks(count: int, shards: int) -> list[tuple[int, int, int, int]]:
+    """``(index, total, start, stop)`` descriptors of at most ``shards``
+    contiguous ranges covering ``range(count)`` in order.
+
+    The ranges are :func:`split_evenly`'s chunks, so a shard task is a
+    few integers however large its slice: workers look the slice up in
+    the stage inputs their pool initializer installed.
+    """
+    chunks = split_evenly(range(count), shards)
+    return [
+        (index, len(chunks), chunk.start, chunk.stop)
+        for index, chunk in enumerate(chunks)
+    ]
 
 
 def resolve_build_budget(budget_mb: float | None = None) -> int | None:
@@ -445,31 +463,17 @@ def check_shard_manifests(
     return problems
 
 
-def pool_map(
-    fn: Callable,
-    tasks: Sequence,
-    workers: int,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-) -> list | None:
-    """Map ``fn`` over ``tasks`` on a process pool, in task order.
+def _pool_context():
+    """The ``fork`` start method wherever the platform has it.
 
-    Returns None when no pool can be established (e.g. a sandboxed
-    ``/dev/shm``); callers fall back to their serial path.  Worker
-    exceptions propagate — a *computation* failure is a bug, only an
-    *infrastructure* failure downgrades.
+    Stage inputs reach workers through the pool initializer; under
+    ``fork`` its arguments are inherited by the child, never pickled.
+    Named explicitly because Python 3.14 moves the Linux default to
+    ``forkserver``, which would silently pickle them once per worker.
     """
-    workers = max(1, min(workers, len(tasks)))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            results = list(pool.map(fn, tasks))
-    except OSError:
-        obs.add("shard.pool_unavailable")
-        return None
-    obs.add("shard.pool_maps")
-    return results
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
 
 
 def pool_map_consume(
@@ -481,19 +485,23 @@ def pool_map_consume(
     initargs: tuple = (),
 ) -> bool:
     """Stream ``fn`` over ``tasks`` on a process pool, in task order,
-    feeding each result to ``consume`` as it completes.
+    feeding each result to ``consume`` as it arrives.
 
-    Unlike :func:`pool_map` the driver never holds more than one
-    in-flight result — ``consume`` typically appends columns to a
-    :class:`ColumnAccumulator`, which bounds the driver's working set.
-    Returns False when no pool can be established (the caller must
-    discard whatever ``consume`` accumulated and fall back serial);
-    ``consume`` and worker exceptions propagate.
+    Tasks should be small descriptors (index ranges): the bulky stage
+    inputs belong in ``initargs``, which forked workers inherit.
+    ``consume`` typically appends columns to a :class:`ColumnAccumulator`,
+    which bounds the driver's working set.  Returns False when no pool
+    can be established (the caller must discard whatever ``consume``
+    accumulated and fall back serial); ``consume`` and worker exceptions
+    propagate.
     """
     workers = max(1, min(workers, len(tasks)))
     try:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
+            max_workers=workers,
+            mp_context=_pool_context(),
+            initializer=initializer,
+            initargs=initargs,
         ) as pool:
             for result in pool.map(fn, tasks):
                 consume(result)

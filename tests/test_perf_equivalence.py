@@ -18,7 +18,6 @@ from datetime import date
 
 import pytest
 
-import repro.bgp.collector as collector_mod
 from repro import obs
 from repro.bgp.collector import collect_rib, select_vantage_points
 from repro.bgp.policy import ASPolicy, RouteClass
@@ -105,16 +104,19 @@ def world_announcements(world):
 
 
 class TestParallelCollect:
-    def test_parallel_matches_serial(self, small_world, monkeypatch):
-        """jobs=2 must reproduce the serial snapshot group-for-group."""
+    def test_parallel_matches_serial(self, small_world):
+        """shards=2 on 2 workers must reproduce the serial snapshot
+        group-for-group."""
         announcements = world_announcements(small_world)
         serial = collect_rib(
             small_world.engine, announcements, small_world.vantage_points, jobs=1
         )
-        # Force the pool even for this small workload.
-        monkeypatch.setattr(collector_mod, "MIN_PARALLEL_GROUPS", 1)
         parallel = collect_rib(
-            small_world.engine, announcements, small_world.vantage_points, jobs=2
+            small_world.engine,
+            announcements,
+            small_world.vantage_points,
+            shards=2,
+            jobs=2,
         )
         assert parallel.vantage_points == serial.vantage_points
         assert len(parallel.groups) == len(serial.groups)

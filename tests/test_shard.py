@@ -5,11 +5,13 @@ shards are contiguous slices of an already-ordered sequence, so
 concatenating worker outputs in shard order reproduces the serial
 iteration exactly.  The Hypothesis block pins that property; the
 integration tests pin it end-to-end on the real build stages; the
-manifest tests pin the discard-don't-stitch safety contract.
+manifest tests pin the discard-don't-stitch safety contract; the
+work-shape tests pin that sharding adds no work beyond the serial path.
 """
 
 from __future__ import annotations
 
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.bgp import collector as collector_module
 from repro.bgp.announcement import Announcement
 from repro.bgp.collector import collect_rib
-from repro.irr import validation as irr_validation
-from repro.rpki import rov as rov_module
-from repro.rpki.rov import ROVValidator
+from repro.ihr import pipeline as ihr_pipeline
+from repro.ihr.pipeline import build_ihr_dataset
+from repro.scenario.build import build_world
 from repro.shard import (
     SHARD_SCHEMA_VERSION,
     ColumnAccumulator,
@@ -121,45 +124,60 @@ class TestManifests:
         assert any("not a mapping" in p for p in problems)
 
 
-def _routes_of(world):
+def _announcements_of(world):
     return [
-        (prefix, group.origin)
+        (Announcement(prefix=prefix, origin=group.origin), group.route_class)
         for group in world.rib.groups
         for prefix in group.prefixes
     ]
+
+
+def _in_process_pool(calls=None, skew=False):
+    """A ``pool_map_consume`` stand-in that runs the initializer and the
+    tasks in this process, recording ``(tasks, manifests)`` per call;
+    ``skew`` stamps every manifest with a stale schema."""
+
+    def run(fn, tasks, workers, consume, initializer=None, initargs=()):
+        manifests = []
+        if calls is not None:
+            calls.append((list(tasks), manifests))
+        if initializer is not None:
+            initializer(*initargs)
+        for task in tasks:
+            manifest, payload = fn(task)
+            if skew:
+                manifest["schema"] = SHARD_SCHEMA_VERSION + 99
+            manifests.append(manifest)
+            consume((manifest, payload))
+        return True
+
+    return run
+
+
+def _ihr_of(world, **kwargs):
+    return build_ihr_dataset(
+        world.rib, world.rov, world.irr, world.topology, **kwargs
+    )
+
+
+def _assert_partition(tasks, count):
+    """Task ranges are non-empty, contiguous and cover ``range(count)``."""
+    assert [task[:2] for task in tasks] == [
+        (index, len(tasks)) for index in range(len(tasks))
+    ]
+    position = 0
+    for _, _, start, stop in tasks:
+        assert start == position and stop > start
+        position = stop
+    assert position == count
 
 
 class TestShardedStagesMatchSerial:
     """Each sharded stage, run for real on a process pool, must equal
     its serial twin exactly — values *and* iteration order."""
 
-    def test_rov_sharded_equals_serial(self, small_world, monkeypatch):
-        routes = _routes_of(world=small_world)
-        monkeypatch.setattr(rov_module, "MIN_SHARD_ROUTES", 1)
-        serial = ROVValidator(small_world.rov.all_vrps()).validate_many(routes)
-        sharded = ROVValidator(small_world.rov.all_vrps()).validate_many(
-            routes, shards=3, jobs=2
-        )
-        # Dict equality only: the sharded path sorts pending routes into
-        # prefix ranges, so insertion order legitimately differs — every
-        # consumer looks verdicts up by key.
-        assert sharded == serial
-
-    def test_irr_sharded_equals_serial(self, small_world, monkeypatch):
-        routes = _routes_of(world=small_world)
-        monkeypatch.setattr(irr_validation, "MIN_SHARD_ROUTES", 1)
-        serial = irr_validation.validate_irr_many(small_world.irr, routes)
-        sharded = irr_validation.validate_irr_many(
-            small_world.irr, routes, shards=3, jobs=2
-        )
-        assert sharded == serial
-
     def test_collect_rib_sharded_equals_serial(self, small_world):
-        announcements = [
-            (Announcement(prefix=prefix, origin=group.origin), group.route_class)
-            for group in small_world.rib.groups
-            for prefix in group.prefixes
-        ]
+        announcements = _announcements_of(small_world)
         vantage_points = small_world.rib.vantage_points
         serial = collect_rib(
             small_world.engine, announcements, vantage_points
@@ -177,32 +195,91 @@ class TestShardedStagesMatchSerial:
         # Simulate a worker/driver version skew: workers emit manifests
         # with a stale schema.  The driver must warn, discard the whole
         # sharded attempt and still return correct serial results.
-        routes = _routes_of(world=small_world)
-        monkeypatch.setattr(rov_module, "MIN_SHARD_ROUTES", 1)
-
-        def skewed_pool_map_consume(
-            fn, tasks, workers, consume, initializer=None, initargs=()
-        ):
-            if initializer is not None:
-                initializer(*initargs)
-            for task in tasks:
-                manifest, payload = fn(task)
-                manifest["schema"] = SHARD_SCHEMA_VERSION + 99
-                consume((manifest, payload))
-            return True
-
+        announcements = _announcements_of(small_world)
+        vantage_points = small_world.rib.vantage_points
         monkeypatch.setattr(
-            rov_module, "pool_map_consume", skewed_pool_map_consume
+            collector_module, "pool_map_consume", _in_process_pool(skew=True)
         )
         before = obs.counters().get("shard.discarded", 0)
-        serial = ROVValidator(small_world.rov.all_vrps()).validate_many(routes)
+        serial = collect_rib(small_world.engine, announcements, vantage_points)
         with caplog.at_level("WARNING"):
-            sharded = ROVValidator(small_world.rov.all_vrps()).validate_many(
-                routes, shards=3, jobs=2
+            sharded = collect_rib(
+                small_world.engine,
+                announcements,
+                vantage_points,
+                jobs=2,
+                shards=3,
             )
-        assert sharded == serial
+        assert sharded.groups == serial.groups
+        assert [list(g.paths) for g in sharded.groups] == [
+            list(g.paths) for g in serial.groups
+        ]
         assert obs.counters().get("shard.discarded", 0) == before + 1
-        assert any("discarding" in r.message for r in caplog.records)
+        assert any(
+            "discarding sharded collection" in r.message for r in caplog.records
+        )
+
+    def test_hegemony_schema_skew_falls_back_serial(
+        self, small_world, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(
+            ihr_pipeline, "pool_map_consume", _in_process_pool(skew=True)
+        )
+        before = obs.counters().get("shard.discarded", 0)
+        serial = _ihr_of(small_world, shards=1)
+        with caplog.at_level("WARNING"):
+            sharded = _ihr_of(small_world, shards=3, jobs=2)
+        assert sharded.transit_groups == serial.transit_groups
+        assert sharded.prefix_origins == serial.prefix_origins
+        assert obs.counters().get("shard.discarded", 0) == before + 1
+        assert any(
+            "discarding sharded transit scoring" in r.message
+            for r in caplog.records
+        )
+
+
+class TestShardWorkShape:
+    """A sharded stage does the serial stage's work once: its tasks
+    partition the work, name only index ranges, and one build maps one
+    pool per sharded stage.  No timing is asserted."""
+
+    def test_collect_tasks_partition_keys_and_rows(self, small_world, monkeypatch):
+        announcements = _announcements_of(small_world)
+        vantage_points = small_world.rib.vantage_points
+        before = obs.counters().get("collect.routes_propagated", 0)
+        serial = collect_rib(small_world.engine, announcements, vantage_points)
+        serial_rows = obs.counters()["collect.routes_propagated"] - before
+        calls = []
+        monkeypatch.setattr(
+            collector_module, "pool_map_consume", _in_process_pool(calls)
+        )
+        sharded = collect_rib(
+            small_world.engine, announcements, vantage_points, jobs=2, shards=3
+        )
+        assert sharded.groups == serial.groups
+        [(tasks, manifests)] = calls
+        assert len(tasks) == 3
+        _assert_partition(tasks, len(serial.groups))
+        assert sum(manifest["rows"] for manifest in manifests) == serial_rows
+        assert all(len(pickle.dumps(task)) < 256 for task in tasks)
+
+    def test_hegemony_tasks_name_only_ranges(self, small_world, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            ihr_pipeline, "pool_map_consume", _in_process_pool(calls)
+        )
+        sharded = _ihr_of(small_world, shards=3, jobs=2)
+        assert sharded.transit_groups == _ihr_of(small_world).transit_groups
+        [(tasks, _)] = calls
+        visible = sum(1 for group in small_world.rib.groups if group.paths)
+        _assert_partition(tasks, visible)
+        assert all(len(pickle.dumps(task)) < 256 for task in tasks)
+
+    def test_sharded_build_maps_one_pool_per_sharded_stage(self):
+        before = obs.counters().get("shard.pool_maps", 0)
+        build_world(scale=0.05, seed=3, shards=2, jobs=2)
+        # collect_rib and hegemony; classification never starts a pool.
+        assert obs.counters().get("shard.pool_maps", 0) - before == 2
 
 
 def _reference_concat(blocks):
