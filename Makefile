@@ -5,12 +5,10 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-JOBS ?=
-SCALE ?= 1.0
-LABEL ?= local
-SMOKE_BUDGET ?= 120
+WORKLOAD ?= reproduce-cold
+SEED ?= 1
 
-.PHONY: test lint bench bench-baseline bench-pytest bench-smoke bench-compare build-smoke profile smoke-profile trace-smoke sweep-smoke scale-smoke serve-smoke delta-smoke scenarios-smoke
+.PHONY: test lint bench bench-pytest bench-smoke build-smoke trace-smoke sweep-smoke scale-smoke serve-smoke delta-smoke scenarios-smoke
 
 ## Tier-1 test suite (unit + integration + equivalence).
 test:
@@ -31,15 +29,16 @@ trace-smoke:
 	$(PYTHON) -m repro reproduce --scale 0.05 --trace-json /tmp/trace-smoke.json > /dev/null
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke.json
 
-## Substrate benchmarks: end-to-end build + timeline, written to
-## BENCH_$(LABEL).json.  JOBS=4 sizes the shard pools (with REPRO_SHARDS>1).
+## The repository benchmark (perfbench/, declared in BENCHMARK.json):
+## one workload for 20 s, one JSON record on stdout.  Workloads:
+## reproduce-cold, build-sharded, serve-warm, delta-replay.
 bench:
-	$(PYTHON) benchmarks/run.py --label $(LABEL) --scale $(SCALE) \
-		$(if $(JOBS),--jobs $(JOBS))
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 20
 
-## Paper-analysis benchmarks (pytest-benchmark; one per table/figure).
+## The paper's shape claims (EXPERIMENTS.md's check column): every
+## table/figure assertion under benchmarks/, without timing.
 bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
 ## Kernel-parity tripwire: a scale-0.1 world must be digest-identical
 ## under REPRO_KERNELS=python and =numpy (uncached builds, both modes).
@@ -48,7 +47,7 @@ bench-smoke:
 
 ## Shard-parity tripwire: a scale-0.5 world built with 2 column shards
 ## on 2 workers must be digest-identical to the single-process build,
-## and to its own checkpoint re-opened mmap'd and eagerly.
+## and to its own checkpoint re-opened with mmap on and with mmap off.
 scale-smoke:
 	$(PYTHON) scripts/check_shard_parity.py --scale 0.5 --shards 2 --jobs 2
 
@@ -59,35 +58,6 @@ scale-smoke:
 build-smoke:
 	$(PYTHON) scripts/check_build_budget.py --scale 0.3 --shards 2 --jobs 2 \
 		--budget-mb 0.05
-
-## Regenerate benchmarks/BASELINE.json from a trusted local run.
-## Refuses to overwrite the committed baseline when world digests
-## drifted; acknowledge an intentional world change with
-## BASELINE_FLAGS=--expect-digest-change.
-BASELINE_FLAGS ?=
-bench-baseline:
-	$(PYTHON) scripts/refresh_baseline.py $(BASELINE_FLAGS)
-
-## Perf gate: one quick benchmark run compared against the committed
-## baseline.  COMPARE_MODE=all (default) exits 3 on >25% regression or
-## digest drift; COMPARE_MODE=digests (the CI setting) warns on timing
-## and exits 3 on digest drift only.
-COMPARE_MODE ?= all
-bench-compare:
-	$(PYTHON) benchmarks/run.py --label compare --scale 0.3 --rounds 3 \
-		--scale-sweep 0.3 --output-dir /tmp \
-		--compare benchmarks/BASELINE.json \
-		--compare-mode $(COMPARE_MODE)
-
-## Stage-level wall-clock breakdown of one full-scale build.
-profile:
-	REPRO_PERF=1 $(PYTHON) benchmarks/run.py --label profile --rounds 1 \
-		--scale $(SCALE) --output-dir /tmp $(if $(JOBS),--jobs $(JOBS))
-
-## CI tripwire: scale-0.3 end-to-end build must fit a generous budget.
-smoke-profile:
-	$(PYTHON) benchmarks/run.py --smoke --budget $(SMOKE_BUDGET) \
-		--label smoke --output-dir /tmp
 
 ## Measurement-service smoke: start `repro serve` as a subprocess, then
 ## liveness -> cold build -> warm hit -> 304 -> metrics -> SIGINT.

@@ -4,12 +4,13 @@ Builds the same (scale, seed) world twice — once serially and once with
 the build stages sharded across worker processes (``--shards``, fanned
 over ``--jobs`` workers) — bypassing every cache, and fails unless the
 two worlds hash to the same digest.  The sharded world is then pushed
-through a checkpoint round-trip and re-opened both eagerly and as a
-memory-mapped columnar world; all four digests must agree.  The sharded
-build must also have run on its worker pools — at least two pool maps
-(collection and transit scoring), no discarded shard set and no
-unavailable pool — or the digest comparison would be serial against
-serial.  This is the CI gate behind ``make scale-smoke``.
+through a checkpoint round-trip and re-opened twice, with its columns
+memory-mapped and with mapping off (``REPRO_MMAP=0``); all four
+digests must agree, and each re-open must have taken its own load
+path.  The sharded build must also have run on its worker pools — at
+least two pool maps (collection and transit scoring), no discarded
+shard set and no unavailable pool — or the digest comparison would be
+serial against serial.  This is the CI gate behind ``make scale-smoke``.
 
 Usage::
 
@@ -27,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.config import RuntimeConfig, use  # noqa: E402
 from repro.datasets.checkpoint import (  # noqa: E402
     CheckpointStore,
     world_digest,
@@ -80,14 +82,19 @@ def main(argv: list[str] | None = None) -> int:
         store = CheckpointStore(tmp)
         store.save(sharded)
         del sharded
-        for label, mode in (("mmap", "columnar"), ("eager", "eager")):
+        for label, mmap in (("mmap", True), ("unmapped", False)):
             start = time.perf_counter()
-            world = store.load(
-                ScenarioConfig(), args.scale, args.seed, mode=mode
-            )
+            with use(RuntimeConfig(mmap=mmap)):
+                world = store.load(ScenarioConfig(), args.scale, args.seed)
             timings[label] = time.perf_counter() - start
             if world is None:
                 print(f"SHARD PARITY FAIL: {label} load missed", file=sys.stderr)
+                return 1
+            if world._columns.arrays.mapped != mmap:
+                print(
+                    f"SHARD PARITY FAIL: {label} load took the wrong path",
+                    file=sys.stderr,
+                )
                 return 1
             digests[label] = world_digest(world)
             del world

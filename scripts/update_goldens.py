@@ -56,8 +56,14 @@ REPLAY_CHECKPOINTS = (3, 6)
 #: session-scoped ``small_world`` test fixture so the golden check reuses
 #: the already-built world instead of building a third one; the 0.5
 #: point matches ``make scale-smoke`` so the sharded-parity gate and the
-#: golden suite pin the same world.
-DEFAULT_POINTS: list[tuple[float, int]] = [(0.12, 11), (0.05, 3), (0.5, 7)]
+#: golden suite pin the same world; the 0.3 point likewise matches
+#: ``make build-smoke``.
+DEFAULT_POINTS: list[tuple[float, int]] = [
+    (0.12, 11),
+    (0.05, 3),
+    (0.5, 7),
+    (0.3, 7),
+]
 
 
 def golden_entry(scale: float, seed: int) -> dict:

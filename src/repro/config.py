@@ -4,10 +4,9 @@ The performance work of PRs 1–6 accreted a knob per subsystem, each its
 own environment variable read at its own call site: ``REPRO_JOBS``
 (worker processes), ``REPRO_SHARDS`` (column shards), ``REPRO_KERNELS``
 (numpy vs pure-Python kernels), ``REPRO_MMAP`` (memory-mapped column
-loads), ``REPRO_WORLD_LOAD`` (columnar vs eager warm starts),
-``REPRO_CACHE_DIR`` (the checkpoint store), ``REPRO_WORLD_CACHE_SIZE``
-(the in-memory world LRU) and ``REPRO_PATHS_CACHE`` (the propagation
-path cache).  This module consolidates them into a single frozen
+loads), ``REPRO_CACHE_DIR`` (the checkpoint store),
+``REPRO_WORLD_CACHE_SIZE`` (the in-memory world LRU) and
+``REPRO_PATHS_CACHE`` (the propagation path cache).  This module consolidates them into a single frozen
 dataclass resolved **once** with a fixed precedence:
 
     explicit overrides  >  environment variables  >  defaults
@@ -45,7 +44,6 @@ from typing import Iterator, Mapping
 __all__ = [
     "ENV_VARS",
     "KERNEL_MODES",
-    "WORLD_LOAD_MODES",
     "RuntimeConfig",
     "current",
     "set_current",
@@ -57,9 +55,6 @@ log = logging.getLogger(__name__)
 #: Recognised kernel implementations (see :mod:`repro.kernels`).
 KERNEL_MODES = ("numpy", "python")
 
-#: Recognised warm-start strategies (see :mod:`repro.datasets.checkpoint`).
-WORLD_LOAD_MODES = ("columnar", "eager")
-
 #: Field name → environment variable.  The table *is* the documentation
 #: of the fallback contract; README's knob table renders from the same
 #: names.
@@ -68,7 +63,6 @@ ENV_VARS: Mapping[str, str] = {
     "shards": "REPRO_SHARDS",
     "kernels": "REPRO_KERNELS",
     "mmap": "REPRO_MMAP",
-    "world_load": "REPRO_WORLD_LOAD",
     "cache_dir": "REPRO_CACHE_DIR",
     "world_cache_size": "REPRO_WORLD_CACHE_SIZE",
     "paths_cache": "REPRO_PATHS_CACHE",
@@ -93,8 +87,6 @@ class RuntimeConfig:
     kernels: str = "numpy"
     #: Memory-map checkpoint columns (False = eager decode only).
     mmap: bool = True
-    #: Warm-start strategy: ``columnar`` (lazy views) or ``eager``.
-    world_load: str = "columnar"
     #: Checkpoint store root; None disables on-disk persistence.
     cache_dir: str | None = None
     #: Most worlds held by the in-memory LRU at once.
@@ -111,11 +103,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"kernels={self.kernels!r} is not a kernel mode; "
                 f"expected one of {', '.join(KERNEL_MODES)}"
-            )
-        if self.world_load not in WORLD_LOAD_MODES:
-            raise ValueError(
-                f"world_load={self.world_load!r} is not a load mode; "
-                f"expected one of {', '.join(WORLD_LOAD_MODES)}"
             )
         if self.world_cache_size < 1:
             raise ValueError("world_cache_size must be >= 1")
@@ -167,10 +154,6 @@ class RuntimeConfig:
         raw = env.get(ENV_VARS["mmap"], "").strip().lower()
         if raw:
             values["mmap"] = raw not in ("0", "false", "off", "no")
-
-        raw = env.get(ENV_VARS["world_load"], "").strip().lower()
-        if raw in WORLD_LOAD_MODES:
-            values["world_load"] = raw
 
         raw = env.get(ENV_VARS["cache_dir"], "").strip()
         if raw:

@@ -10,15 +10,16 @@ touches it.  A consumer that reads nothing but the RIB never allocates a
 single ROA object; one that only checks membership never decodes the
 RIB's half-million paths.
 
-Materialisation is exact: every field goes through the same
-digest-verified ``_rebuild_*`` replay functions the eager loader uses,
-so a :class:`LazyWorld` is byte-identical to an eager load and to a cold
-build (``tests/test_columnar.py`` pins all three pairings).
+Materialisation is exact: every field goes through the
+digest-verified ``_rebuild_*`` replay functions in
+:mod:`repro.datasets.checkpoint`, so a :class:`LazyWorld` is
+byte-identical to a cold build, mapped or not (``tests/test_columnar.py``
+pins both pairings).
 
 All JSON metas and text files are parsed up front at open time — they
 are small, and reading them eagerly (plus holding the column map's file
 descriptor open) means a :class:`LazyWorld` survives its entry being
-pruned from the store mid-lifetime, exactly like an eager world does.
+pruned from the store mid-lifetime, exactly like a cold-built world does.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class LazyWorld(World):
     Constructed without running the dataclass ``__init__``: only
     ``config`` and the backing :class:`WorldColumns` are installed up
     front, and every other field materialises on first attribute access
-    through the same replay path the eager loader uses.  Downstream code
+    through the checkpoint's ``_rebuild_*`` replay path.  Downstream code
     cannot tell the difference (it is an instance of ``World`` holding
     the exact same objects once touched) — it simply pays only for what
     it reads.
@@ -183,8 +184,7 @@ class LazyWorld(World):
         if build is None or columns is None:
             raise AttributeError(name)
         # The replay allocates the same long-lived acyclic objects a cold
-        # build does; pause the cyclic GC for the burst like the builder
-        # and the eager loader both do.
+        # build does; pause the cyclic GC for the burst like the builder does.
         with obs.span(f"columnar.materialize.{name}"), obs.gc_paused():
             value = build(columns, self)
         self.__dict__[name] = value

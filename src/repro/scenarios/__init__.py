@@ -6,8 +6,8 @@ figure out, never mutating the world it composes onto.  The
 :data:`FAMILIES` table is the package's registry;
 ``repro.experiments.registry`` wraps every entry as an
 ``ExperimentSpec``, which is how the families surface through
-``reproduce --only``, ``repro sweep``, ``benchmarks/run.py
---experiments`` and the serving layer without any per-family wiring.
+``reproduce --only``, ``repro sweep``, the ``reproduce-cold``
+benchmark workload and the serving layer without any per-family wiring.
 """
 
 from __future__ import annotations

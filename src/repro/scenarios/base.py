@@ -14,7 +14,7 @@ digest pinned on it, stays valid no matter which scenarios ran first.
 Families are registered as :class:`~repro.experiments.registry
 .ExperimentSpec` entries (the registry imports this package, never the
 reverse), which is what makes ``reproduce --only``, ``repro sweep``,
-``benchmarks/run.py --experiments`` and the serving layer's
+the ``reproduce-cold`` benchmark workload and the serving layer's
 ``/experiments/<name>`` pick every family up with zero changes.
 """
 

@@ -8,10 +8,9 @@ third-party framework).  Anything outside the subset — another verb, an
 oversized request line, a malformed header — maps to a clean 4xx via
 :class:`HttpError` rather than undefined behaviour.
 
-:func:`http_get` is the matching client: the tests, the load generator
-(``benchmarks/run.py --serve``) and the smoke script all speak to the
-server through it, so the protocol subset is exercised end to end from
-both sides.
+:func:`http_get` is the matching client: the tests and the smoke script
+both speak to the server through it, so the protocol subset is
+exercised end to end from both sides.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -476,6 +477,18 @@ def _pool_context():
     return None
 
 
+def _with_counter_delta(fn: Callable, task):
+    """Run one pool task; return its result and the counters it added."""
+    before = obs.counters()
+    result = fn(task)
+    delta = {
+        name: value - before.get(name, 0)
+        for name, value in obs.counters().items()
+        if value != before.get(name, 0)
+    }
+    return result, delta
+
+
 def pool_map_consume(
     fn: Callable,
     tasks: Sequence,
@@ -494,6 +507,11 @@ def pool_map_consume(
     can be established (the caller must discard whatever ``consume``
     accumulated and fall back serial); ``consume`` and worker exceptions
     propagate.
+
+    Each task's counter increments in the worker are added to the
+    driver's counters (and its open span) before its result is
+    consumed, so a sharded stage counts what the serial one does (a
+    discarded sharded attempt's counts stay added).
     """
     workers = max(1, min(workers, len(tasks)))
     try:
@@ -503,7 +521,11 @@ def pool_map_consume(
             initializer=initializer,
             initargs=initargs,
         ) as pool:
-            for result in pool.map(fn, tasks):
+            for result, delta in pool.map(
+                partial(_with_counter_delta, fn), tasks
+            ):
+                for name, value in delta.items():
+                    obs.add(name, value)
                 consume(result)
     except OSError:
         obs.add("shard.pool_unavailable")

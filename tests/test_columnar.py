@@ -1,10 +1,11 @@
 """Columnar-first warm starts: mmap identity, laziness, safe fallbacks.
 
 The contract under test (DESIGN §13): a memory-mapped, lazily
-materialised world is digest-identical to both the eager load and the
-cold build; anything wrong with the column archive — truncation,
-corruption, unmappable layout — warns and falls back (eager load, or
-discard-and-cold-build), never surfacing a broken world.
+materialised world is digest-identical to the cold build, and so is
+one opened with mapping off (``REPRO_MMAP=0``); anything wrong with the
+column archive — truncation, corruption, unmappable layout — warns and
+falls back (eager decode, or discard-and-cold-build), never surfacing a
+broken world.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RuntimeConfig, use
 from repro.datasets.arraystore import mmap_enabled, open_columns
 from repro.datasets.checkpoint import (
     ARRAYS_FILE,
     CheckpointStore,
     checkpoint_key,
     world_digest,
-    world_load_mode,
 )
 from repro.datasets.columnar import LazyWorld
-from repro.scenario.world import World
 
 
 @pytest.fixture(scope="module")
@@ -94,27 +94,16 @@ class TestLazyWorld:
     def test_digest_identical_across_load_modes(self, saved, small_world):
         store, _ = saved
         config = small_world.config
-        lazy = store.load(config, small_world.scale, small_world.seed)
-        eager = store.load(
-            config, small_world.scale, small_world.seed, mode="eager"
-        )
-        assert isinstance(lazy, LazyWorld)
-        assert isinstance(eager, World)
-        assert not isinstance(eager, LazyWorld)
         cold = world_digest(small_world)
-        assert world_digest(lazy) == cold
-        assert world_digest(eager) == cold
-
-    def test_load_mode_env_switch(self, saved, small_world, monkeypatch):
-        store, _ = saved
-        monkeypatch.setenv("REPRO_WORLD_LOAD", "eager")
-        assert world_load_mode() == "eager"
-        world = store.load(
-            small_world.config, small_world.scale, small_world.seed
-        )
-        assert not isinstance(world, LazyWorld)
-        monkeypatch.setenv("REPRO_WORLD_LOAD", "columnar")
-        assert world_load_mode() == "columnar"
+        mapped = store.load(config, small_world.scale, small_world.seed)
+        assert isinstance(mapped, LazyWorld)
+        assert mapped._columns.arrays.mapped
+        assert world_digest(mapped) == cold
+        with use(RuntimeConfig(mmap=False)):
+            unmapped = store.load(config, small_world.scale, small_world.seed)
+        assert isinstance(unmapped, LazyWorld)
+        assert not unmapped._columns.arrays.mapped
+        assert world_digest(unmapped) == cold
 
     def test_fields_materialise_on_demand_only(self, saved, small_world):
         store, _ = saved

@@ -3,8 +3,8 @@
 The contract under test: one frozen dataclass resolved with ``explicit
 > environment > default`` precedence, installable process-wide or for a
 ``with`` block, consulted by every call-time reader the per-site env
-lookups used to own (kernel mode, mmap, world-load strategy, default
-store, jobs/shards resolution).
+lookups used to own (kernel mode, mmap, default store, jobs/shards
+resolution).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class TestDefaults:
         assert runtime.shards == 1
         assert runtime.kernels == "numpy"
         assert runtime.mmap is True
-        assert runtime.world_load == "columnar"
         assert runtime.cache_dir is None
         assert runtime.world_cache_size == 4
         assert runtime.paths_cache is None
@@ -48,8 +47,6 @@ class TestDefaults:
     def test_validation_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="kernel mode"):
             RuntimeConfig(kernels="fortran")
-        with pytest.raises(ValueError, match="load mode"):
-            RuntimeConfig(world_load="sideways")
         with pytest.raises(ValueError, match="world_cache_size"):
             RuntimeConfig(world_cache_size=0)
 
@@ -61,7 +58,6 @@ class TestFromEnv:
             "REPRO_SHARDS": "8",
             "REPRO_KERNELS": "python",
             "REPRO_MMAP": "0",
-            "REPRO_WORLD_LOAD": "eager",
             "REPRO_CACHE_DIR": "/tmp/store",
             "REPRO_WORLD_CACHE_SIZE": "9",
             "REPRO_PATHS_CACHE": "123",
@@ -72,7 +68,6 @@ class TestFromEnv:
             shards=8,
             kernels="python",
             mmap=False,
-            world_load="eager",
             cache_dir="/tmp/store",
             world_cache_size=9,
             paths_cache=123,
@@ -82,7 +77,6 @@ class TestFromEnv:
         env = {
             "REPRO_JOBS": "many",
             "REPRO_SHARDS": "several",
-            "REPRO_WORLD_LOAD": "sideways",
             "REPRO_WORLD_CACHE_SIZE": "-3",
             "REPRO_PATHS_CACHE": "big",
         }
@@ -181,13 +175,11 @@ class TestCallTimeReaders:
         with config.use(RuntimeConfig(kernels="python")):
             assert kernel_mode() == "python"
 
-    def test_mmap_and_world_load_honour_installed_config(self):
+    def test_mmap_honours_installed_config(self):
         from repro.datasets.arraystore import mmap_enabled
-        from repro.datasets.checkpoint import world_load_mode
 
-        with config.use(RuntimeConfig(mmap=False, world_load="eager")):
+        with config.use(RuntimeConfig(mmap=False)):
             assert mmap_enabled() is False
-            assert world_load_mode() == "eager"
 
     def test_default_store_honours_installed_config(self, tmp_path):
         from repro.datasets.checkpoint import default_store

@@ -25,7 +25,7 @@ from repro.bgp.announcement import Announcement
 from repro.bgp.collector import collect_rib
 from repro.ihr import pipeline as ihr_pipeline
 from repro.ihr.pipeline import build_ihr_dataset
-from repro.scenario.build import build_world
+from repro.scenario.build import _build_world, build_world
 from repro.shard import (
     SHARD_SCHEMA_VERSION,
     ColumnAccumulator,
@@ -280,6 +280,18 @@ class TestShardWorkShape:
         build_world(scale=0.05, seed=3, shards=2, jobs=2)
         # collect_rib and hegemony; classification never starts a pool.
         assert obs.counters().get("shard.pool_maps", 0) - before == 2
+
+    def test_sharded_build_counts_worker_work(self):
+        # Counters a shard worker adds reach the driver, so a sharded
+        # build reports the propagation work the serial build does.
+        def cache_misses(jobs, shards):
+            before = obs.counters().get("propagation.cache_misses", 0)
+            _build_world(0.05, 3, None, None, None, jobs, shards)
+            return obs.counters().get("propagation.cache_misses", 0) - before
+
+        serial = cache_misses(1, 1)
+        assert serial > 0
+        assert cache_misses(2, 2) == serial
 
 
 def _reference_concat(blocks):
