@@ -8,7 +8,7 @@ export PYTHONPATH
 WORKLOAD ?= reproduce-cold
 SEED ?= 1
 
-.PHONY: test lint bench bench-pytest bench-smoke build-smoke trace-smoke sweep-smoke scale-smoke serve-smoke delta-smoke scenarios-smoke
+.PHONY: test lint bench bench-pytest build-smoke trace-smoke sweep-smoke scale-smoke serve-smoke delta-smoke scenarios-smoke
 
 ## Tier-1 test suite (unit + integration + equivalence).
 test:
@@ -40,23 +40,18 @@ bench:
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
-## Kernel-parity tripwire: a scale-0.1 world must be digest-identical
-## under REPRO_KERNELS=python and =numpy (uncached builds, both modes).
-bench-smoke:
-	$(PYTHON) scripts/check_kernel_parity.py --scale 0.1
-
 ## Shard-parity tripwire: a scale-0.5 world built with 2 column shards
 ## on 2 workers must be digest-identical to the single-process build,
 ## and to its own checkpoint re-opened with mmap on and with mmap off.
 scale-smoke:
 	$(PYTHON) scripts/check_shard_parity.py --scale 0.5 --shards 2 --jobs 2
 
-## Spill-path tripwire: a small sharded build under a tiny
-## REPRO_BUILD_BUDGET_MB (forcing the column accumulators to spill to
-## scratch files) must be digest-identical to the unbudgeted build in
-## both kernel modes, and must actually have spilled.
+## Spill-path tripwire: the same parity check at scale 0.3 plus one
+## more sharded build under a tiny build budget (forcing the column
+## accumulators to spill to scratch files), which must be
+## digest-identical to the serial build and must actually have spilled.
 build-smoke:
-	$(PYTHON) scripts/check_build_budget.py --scale 0.3 --shards 2 --jobs 2 \
+	$(PYTHON) scripts/check_shard_parity.py --scale 0.3 --shards 2 --jobs 2 \
 		--budget-mb 0.05
 
 ## Measurement-service smoke: start `repro serve` as a subprocess, then
@@ -71,7 +66,7 @@ delta-smoke:
 	$(PYTHON) scripts/check_delta.py
 
 ## Scenario-pack smoke: every family in repro.scenarios runs on the
-## pinned world in both kernel modes and must match its golden digest.
+## pinned world and must match its golden digest.
 scenarios-smoke:
 	$(PYTHON) scripts/check_scenarios.py
 

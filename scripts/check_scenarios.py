@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Scenario-pack smoke: every family, both kernel modes, golden digests.
+"""Scenario-pack smoke: every family against its golden digest.
 
-Builds the pinned (scale, seed) world once per kernel mode
-(``REPRO_KERNELS=python`` and ``=numpy``), runs every scenario family in
+Builds the pinned (scale, seed) world, runs every scenario family in
 ``repro.scenarios.FAMILIES`` on it, and fails unless each rendered
 figure hashes to the digest committed in
-``tests/goldens/scenario_digests.json`` — in *both* modes.  This is the
+``tests/goldens/scenario_digests.json``.  This is the
 ``make scenarios-smoke`` CI gate: it pins the families' output
-byte-for-byte and proves they are kernel-independent in one pass.
+byte-for-byte.
 
 Usage::
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,39 +53,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     failures = 0
-    previous = os.environ.get("REPRO_KERNELS")
-    try:
-        for mode in ("python", "numpy"):
-            os.environ["REPRO_KERNELS"] = mode
-            start = time.perf_counter()
-            world = _build_world(scale, seed, None, None, None, None)
-            for name, family in FAMILIES.items():
-                text = family.render(family.run(world))
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                if digest != expected[name]:
-                    failures += 1
-                    print(
-                        f"SCENARIO SMOKE FAIL [{mode}] {name}: "
-                        f"digest {digest[:16]}… != golden "
-                        f"{expected[name][:16]}…",
-                        file=sys.stderr,
-                    )
+    start = time.perf_counter()
+    world = _build_world(scale, seed, None, None, None, None)
+    for name, family in FAMILIES.items():
+        text = family.render(family.run(world))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if digest != expected[name]:
+            failures += 1
             print(
-                f"{mode}: {len(FAMILIES)} families in "
-                f"{time.perf_counter() - start:.2f}s",
+                f"SCENARIO SMOKE FAIL {name}: digest {digest[:16]}… != "
+                f"golden {expected[name][:16]}…",
                 file=sys.stderr,
             )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = previous
+    print(
+        f"{len(FAMILIES)} families in {time.perf_counter() - start:.2f}s",
+        file=sys.stderr,
+    )
 
     if failures:
         return 1
     print(
         f"scenario smoke OK: {len(FAMILIES)} families golden-identical "
-        f"in both kernel modes at scale {scale:g} seed {seed}"
+        f"at scale {scale:g} seed {seed}"
     )
     return 0
 

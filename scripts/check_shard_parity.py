@@ -1,21 +1,29 @@
-"""Shard-parity smoke: sharded builds and mapped loads change nothing.
+"""Shard-parity smoke: sharded builds, spilled builds and mapped loads
+change nothing.
 
 Builds the same (scale, seed) world twice — once serially and once with
 the build stages sharded across worker processes (``--shards``, fanned
 over ``--jobs`` workers) — bypassing every cache, and fails unless the
-two worlds hash to the same digest.  The sharded world is then pushed
-through a checkpoint round-trip and re-opened twice, with its columns
-memory-mapped and with mapping off (``REPRO_MMAP=0``); all four
-digests must agree, and each re-open must have taken its own load
+two worlds hash to the same digest.  With ``--budget-mb`` one more
+sharded build runs under that (tiny) ``build_budget_mb``, so every
+sharded stage's column accumulator spills completed blocks to its
+scratch file; it must digest-match too, and must actually have spilled
+(``build.spill.blocks`` > 0), or it tested nothing.  The sharded world
+is then pushed through a checkpoint round-trip and re-opened twice,
+with its columns memory-mapped and with mapping off (``REPRO_MMAP=0``);
+every digest must agree, and each re-open must have taken its own load
 path.  The sharded build must also have run on its worker pools — at
 least two pool maps (collection and transit scoring), no discarded
 shard set and no unavailable pool — or the digest comparison would be
-serial against serial.  This is the CI gate behind ``make scale-smoke``.
+serial against serial.  This is the CI gate behind ``make scale-smoke``
+and, with ``--budget-mb``, ``make build-smoke``.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_shard_parity.py --scale 0.5 \
         --shards 2 --jobs 2
+    PYTHONPATH=src python scripts/check_shard_parity.py --scale 0.3 \
+        --shards 2 --jobs 2 --budget-mb 0.05
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument(
+        "--budget-mb",
+        type=float,
+        default=None,
+        help="also build sharded under this spill budget (tiny: it must spill)",
+    )
     args = parser.parse_args(argv)
 
     digests: dict[str, str] = {}
@@ -54,6 +68,26 @@ def main(argv: list[str] | None = None) -> int:
     timings["serial"] = time.perf_counter() - start
     digests["serial"] = world_digest(serial)
     del serial
+
+    if args.budget_mb is not None:
+        before = metrics.counters().get("build.spill.blocks", 0)
+        start = time.perf_counter()
+        with use(RuntimeConfig.resolve(build_budget_mb=args.budget_mb)):
+            budgeted = _build_world(
+                args.scale, args.seed, None, None, None, args.jobs, args.shards
+            )
+        timings["budgeted"] = time.perf_counter() - start
+        spilled = metrics.counters().get("build.spill.blocks", 0) - before
+        if spilled <= 0:
+            print(
+                f"SHARD PARITY FAIL: budget {args.budget_mb}MB never spilled "
+                "— the leg exercised nothing; lower --budget-mb",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"budgeted: {spilled} blocks spilled", file=sys.stderr)
+        digests["budgeted"] = world_digest(budgeted)
+        del budgeted
 
     pool_counters = ("shard.pool_maps", "shard.discarded", "shard.pool_unavailable")
     before = {name: metrics.counters().get(name, 0) for name in pool_counters}

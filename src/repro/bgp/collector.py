@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro import config as _config
-from repro import kernels, obs
+from repro import obs
 from repro.bgp.announcement import Announcement, RibEntry
 from repro.config import RuntimeConfig
 from repro.bgp.policy import RouteClass
@@ -231,7 +231,7 @@ def _collect_rib(
             engine, keys, vantage_points, shards, jobs
         )
     if paths_by_key is None:
-        paths_by_key = _paths_of(engine, keys, vantage_points)
+        paths_by_key = engine.paths_to_many(keys, vantage_points)
     obs.add(
         "collect.routes_propagated",
         sum(len(paths) for paths in paths_by_key),
@@ -246,21 +246,6 @@ def _collect_rib(
         for (origin, route_class), paths in zip(keys, paths_by_key)
     ]
     return RibSnapshot(vantage_points=vantage_points, groups=groups)
-
-
-def _paths_of(
-    engine: PropagationEngine,
-    keys: Sequence[tuple[int, RouteClass]],
-    vantage_points: tuple[int, ...],
-) -> list[dict[int, tuple[int, ...]]]:
-    """Per-key path dicts: the batch kernel under numpy, else the
-    scalar ``paths_to`` loop (the serial path and every shard worker)."""
-    if kernels.use_numpy():
-        return engine.paths_to_many(keys, vantage_points)
-    return [
-        engine.paths_to(origin, vantage_points, route_class)
-        for origin, route_class in keys
-    ]
 
 
 # Worker-process state, installed once per worker by the pool initializer
@@ -291,8 +276,8 @@ def _propagate_key_shard(task: tuple) -> tuple[dict, dict[str, np.ndarray]]:
     """
     index, total, start, stop = task
     assert _worker_engine is not None
-    paths_by_key = _paths_of(
-        _worker_engine, _worker_keys[start:stop], _worker_vantage_points
+    paths_by_key = _worker_engine.paths_to_many(
+        _worker_keys[start:stop], _worker_vantage_points
     )
     vp_ids: list[int] = []
     paths: list[tuple[int, ...]] = []

@@ -2,9 +2,8 @@
 
 The performance work of PRs 1–6 accreted a knob per subsystem, each its
 own environment variable read at its own call site: ``REPRO_JOBS``
-(worker processes), ``REPRO_SHARDS`` (column shards), ``REPRO_KERNELS``
-(numpy vs pure-Python kernels), ``REPRO_MMAP`` (memory-mapped column
-loads), ``REPRO_CACHE_DIR`` (the checkpoint store),
+(worker processes), ``REPRO_SHARDS`` (column shards), ``REPRO_MMAP``
+(memory-mapped column loads), ``REPRO_CACHE_DIR`` (the checkpoint store),
 ``REPRO_WORLD_CACHE_SIZE`` (the in-memory world LRU) and
 ``REPRO_PATHS_CACHE`` (the propagation path cache).  This module consolidates them into a single frozen
 dataclass resolved **once** with a fixed precedence:
@@ -20,17 +19,17 @@ keep working unchanged), but the programmatic API is the config object:
     world = build_world(scale=1.0, seed=7, runtime=runtime)
 
 Every entry point that used to read an environment variable now accepts
-``runtime=`` (``build_world``, ``collect_rib``, ``validate_many``,
-``validate_irr_many``, ``build_ihr_dataset``, ``run_sweep``, the serve
-layer) and low-level call-time readers consult :func:`current`, which
-returns the installed process-wide config or — when none is installed —
-re-resolves from the environment on each call, preserving the historical
-"read at call time" semantics tests rely on.
+``runtime=`` (``build_world``, ``collect_rib``, ``build_ihr_dataset``,
+``run_sweep``, the serve layer) and low-level call-time readers consult
+:func:`current`, which returns the installed process-wide config or —
+when none is installed — re-resolves from the environment on each call,
+preserving the historical "read at call time" semantics tests rely on.
 
 :func:`use` installs a config for a ``with`` block (the world builder
-does this when handed ``runtime=``, so even leaf decisions like kernel
-mode honour the explicit object); :func:`set_current` installs one for
-the rest of the process (sweep and serve workers do this at pool init).
+does this when handed ``runtime=``, so even leaf decisions like the
+spill budget honour the explicit object); :func:`set_current` installs
+one for the rest of the process (sweep and serve workers do this at pool
+init).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import Iterator, Mapping
 
 __all__ = [
     "ENV_VARS",
-    "KERNEL_MODES",
     "RuntimeConfig",
     "current",
     "set_current",
@@ -52,16 +50,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Recognised kernel implementations (see :mod:`repro.kernels`).
-KERNEL_MODES = ("numpy", "python")
-
 #: Field name → environment variable.  The table *is* the documentation
 #: of the fallback contract; README's knob table renders from the same
 #: names.
 ENV_VARS: Mapping[str, str] = {
     "jobs": "REPRO_JOBS",
     "shards": "REPRO_SHARDS",
-    "kernels": "REPRO_KERNELS",
     "mmap": "REPRO_MMAP",
     "cache_dir": "REPRO_CACHE_DIR",
     "world_cache_size": "REPRO_WORLD_CACHE_SIZE",
@@ -75,7 +69,7 @@ class RuntimeConfig:
     """Resolved runtime knobs; immutable, comparable, picklable.
 
     Defaults reproduce the historical behaviour of an empty environment:
-    serial single-shard builds, numpy kernels, memory-mapped columnar
+    serial single-shard builds, memory-mapped columnar
     warm starts, no on-disk store.
     """
 
@@ -83,8 +77,6 @@ class RuntimeConfig:
     jobs: int = 1
     #: Column shards for the dominant build stages (1 = sharding off).
     shards: int = 1
-    #: Kernel implementation: ``numpy`` or ``python``.
-    kernels: str = "numpy"
     #: Memory-map checkpoint columns (False = eager decode only).
     mmap: bool = True
     #: Checkpoint store root; None disables on-disk persistence.
@@ -99,11 +91,6 @@ class RuntimeConfig:
     build_budget_mb: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kernels not in KERNEL_MODES:
-            raise ValueError(
-                f"kernels={self.kernels!r} is not a kernel mode; "
-                f"expected one of {', '.join(KERNEL_MODES)}"
-            )
         if self.world_cache_size < 1:
             raise ValueError("world_cache_size must be >= 1")
         if self.build_budget_mb is not None and self.build_budget_mb < 0:
@@ -115,11 +102,9 @@ class RuntimeConfig:
     def from_env(cls, env: Mapping[str, str] | None = None) -> "RuntimeConfig":
         """The config an empty-argument run resolves to: env over defaults.
 
-        Parsing is as lenient as the per-site readers it replaced — a
+        Parsing is as lenient as the per-site readers it replaced: a
         malformed value falls back to the field default rather than
-        breaking an analysis run — with one deliberate exception:
-        ``REPRO_KERNELS`` raises on unrecognised values, because a typo
-        there must not silently change which implementation ran.
+        breaking an analysis run.
         """
         env = os.environ if env is None else env
         values: dict[str, object] = {}
@@ -141,15 +126,6 @@ class RuntimeConfig:
                     ENV_VARS["shards"],
                     raw,
                 )
-
-        raw = env.get(ENV_VARS["kernels"], "").strip().lower()
-        if raw:
-            if raw not in KERNEL_MODES:
-                raise ValueError(
-                    f"{ENV_VARS['kernels']}={raw!r} is not a kernel mode; "
-                    f"expected one of {', '.join(KERNEL_MODES)}"
-                )
-            values["kernels"] = raw
 
         raw = env.get(ENV_VARS["mmap"], "").strip().lower()
         if raw:
@@ -243,7 +219,7 @@ def current() -> RuntimeConfig:
 
     When nothing is installed this re-reads the environment on every
     call, preserving the historical call-time semantics (tests flip
-    ``REPRO_KERNELS`` etc. with ``monkeypatch.setenv`` mid-process).
+    ``REPRO_JOBS`` etc. with ``monkeypatch.setenv`` mid-process).
     """
     return _active if _active is not None else RuntimeConfig.from_env()
 

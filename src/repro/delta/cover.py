@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.net.prefix import Prefix
 from repro.rpki.roa import VRP
 
@@ -36,10 +35,10 @@ class RouteCoverIndex:
 
     Routes are ``(prefix, origin)`` pairs; :meth:`affected` returns the
     sorted, de-duplicated *indices* (into the construction sequence) of
-    every route some changed prefix contains.  The numpy and pure-python
-    paths scan the identical per-version sorted arrays and agree exactly
-    (pinned by a Hypothesis property test); which one runs is decided by
-    the kernel mode at call time, like every other kernel in the repo.
+    every route some changed prefix contains: one ``np.searchsorted``
+    slice per IPv4 changed prefix, a bisect walk over the same sorted
+    entries for IPv6 (pinned against brute force by a Hypothesis
+    property test).
     """
 
     def __init__(self, routes: Sequence[tuple[Prefix, int]]):
@@ -49,12 +48,11 @@ class RouteCoverIndex:
                 (prefix.first, prefix.last, index)
             )
         self._entries: dict[int, list[tuple[int, int, int]]] = {}
-        self._firsts: dict[int, list[int]] = {}
         self._arrays: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for version, entries in by_version.items():
             entries.sort()
             self._entries[version] = entries
-            self._firsts[version] = [first for first, _, _ in entries]
+        self._v6_firsts = [first for first, _, _ in self._entries.get(6, ())]
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._entries.values())
@@ -86,27 +84,7 @@ class RouteCoverIndex:
 
     def affected(self, changed: Iterable[Prefix]) -> list[int]:
         """Indices of routes contained in any changed prefix (sorted)."""
-        if kernels.use_numpy():
-            return self._affected_numpy(changed)
-        return self._affected_python(changed)
-
-    def _affected_python(self, changed: Iterable[Prefix]) -> list[int]:
         hits: set[int] = set()
-        for prefix in changed:
-            entries = self._entries.get(prefix.version)
-            if not entries:
-                continue
-            firsts = self._firsts[prefix.version]
-            low = bisect_left(firsts, prefix.first)
-            high = bisect_right(firsts, prefix.last)
-            for first, last, index in entries[low:high]:
-                if last <= prefix.last:
-                    hits.add(index)
-        return sorted(hits)
-
-    def _affected_numpy(self, changed: Iterable[Prefix]) -> list[int]:
-        hits: set[int] = set()
-        v6_pending: list[Prefix] = []
         for prefix in changed:
             if prefix.version not in self._entries:
                 continue
@@ -114,7 +92,13 @@ class RouteCoverIndex:
                 # IPv6 address integers exceed int64; the bisect walk
                 # over the same sorted entries is exact and v6 tables
                 # are a sliver of the route set.
-                v6_pending.append(prefix)
+                low = bisect_left(self._v6_firsts, prefix.first)
+                high = bisect_right(self._v6_firsts, prefix.last)
+                hits.update(
+                    index
+                    for _, last, index in self._entries[6][low:high]
+                    if last <= prefix.last
+                )
                 continue
             firsts, lasts, indices = self._version_arrays(prefix.version)
             low = int(np.searchsorted(firsts, prefix.first, side="left"))
@@ -123,8 +107,6 @@ class RouteCoverIndex:
                 continue
             mask = lasts[low:high] <= prefix.last
             hits.update(int(i) for i in indices[low:high][mask])
-        if v6_pending:
-            hits.update(self._affected_python(v6_pending))
         return sorted(hits)
 
 

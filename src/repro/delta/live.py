@@ -39,7 +39,7 @@ from __future__ import annotations
 from datetime import date
 from typing import Iterable
 
-from repro import kernels, obs
+from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
@@ -302,13 +302,7 @@ class LiveWorld:
         )
         vantage_points = base.vantage_points
         engine.ensure_cache_capacity(len(keys))
-        if kernels.use_numpy():
-            paths_by_key = engine.paths_to_many(keys, vantage_points)
-        else:
-            paths_by_key = [
-                engine.paths_to(origin, vantage_points, route_class)
-                for origin, route_class in keys
-            ]
+        paths_by_key = engine.paths_to_many(keys, vantage_points)
         groups = [
             RouteGroup(
                 origin=origin,

@@ -7,10 +7,10 @@ toward it, and emit the prefix-origin and transit datasets the paper's
 conformance and impact analyses consume.
 
 The construction batches its lookups: all (prefix, origin) pairs are
-classified up front through the bulk/memoised validator paths (one radix
-walk per distinct prefix instead of one per record), and each group's
-vantage-point paths are prepending-stripped once and shared between the
-hegemony and learned-from-customer computations.
+classified up front through the bulk/memoised validator paths (one
+interval-index probe per batch instead of one trie walk per record), and
+each group's vantage-point paths are flattened once into columns shared
+between the hegemony and learned-from-customer reductions.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from itertools import chain
 import numpy as np
 
 from repro import config as _config
-from repro import kernels, obs
+from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.config import RuntimeConfig
-from repro.hegemony.scores import DEFAULT_TRIM, hegemony_scores
+from repro.hegemony.scores import DEFAULT_TRIM
 from repro.kernels.groupby import hegemony_transits
 from repro.ihr.records import (
     IHRDataset,
@@ -34,7 +34,6 @@ from repro.ihr.records import (
 )
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.validation import validate_irr_many
-from repro.net.asn import strip_prepending
 from repro.rpki.rov import ROVValidator
 from repro.shard import (
     check_shard_manifests,
@@ -131,53 +130,12 @@ def build_ihr_dataset(
                 visible, group_statuses, topology, trim, shards, jobs
             )
         if transit_groups is None:
-            if kernels.use_numpy():
-                transit_groups = _transit_groups_numpy(
-                    visible, group_statuses, topology, trim
-                )
-            else:
-                transit_groups = _transit_groups_python(
-                    visible, group_statuses, topology, trim
-                )
+            transit_groups = _transit_groups(
+                visible, group_statuses, topology, trim
+            )
     obs.add("ihr.prefix_origins", len(prefix_origins))
     obs.add("ihr.transit_groups", len(transit_groups))
     return IHRDataset(prefix_origins=prefix_origins, transit_groups=transit_groups)
-
-
-def _transit_groups_python(
-    visible: list[RouteGroup],
-    group_statuses: list[tuple],
-    topology: ASTopology,
-    trim: float,
-) -> list[TransitGroup]:
-    """The reference per-group transit scoring loop."""
-    # Materialise customer sets once: ASTopology.customers_of copies a
-    # frozenset per call, far too slow for millions of path positions.
-    customers_of = {asn: topology.customers_of(asn) for asn in topology.asns}
-    transit_groups: list[TransitGroup] = []
-    for group, statuses in zip(visible, group_statuses):
-        stripped = [strip_prepending(path) for path in group.paths.values()]
-        scores = hegemony_scores(stripped, trim=trim, prestripped=True)
-        if not scores:
-            continue
-        learned_from_customer = _customer_learning(stripped, customers_of)
-        transits = {
-            asn: TransitInfo(
-                hegemony=score,
-                from_customer=learned_from_customer.get(asn, False),
-            )
-            for asn, score in scores.items()
-        }
-        transit_groups.append(
-            TransitGroup(
-                origin=group.origin,
-                prefixes=group.prefixes,
-                statuses=statuses,
-                transits=transits,
-                visibility=len(group.paths),
-            )
-        )
-    return transit_groups
 
 
 def transit_groups_indexed(
@@ -188,52 +146,22 @@ def transit_groups_indexed(
 ) -> list[tuple[int, TransitGroup]]:
     """``(index, TransitGroup)`` pairs for groups with transit scores.
 
-    Per-group outputs are identical to the batch builders above, but each
-    surviving group is tagged with its index into ``visible`` so an
+    Per-group outputs are identical to :func:`build_ihr_dataset`'s, but
+    each surviving group is tagged with its index into ``visible`` so an
     incremental caller (:mod:`repro.delta`) can score a sparse subset of
-    groups and splice the results between cached ones.  Kernel-mode
-    dispatch matches :func:`build_ihr_dataset`.
+    groups and splice the results between cached ones.
     """
     if not visible:
         return []
-    if kernels.use_numpy():
-        columns = _hegemony_columns(visible, topology, trim)
-        groups = _groups_from_columns(visible, group_statuses, columns)
-        group_ids = columns[0]
-        if not len(group_ids):
-            return []
-        bounds = np.flatnonzero(
-            np.concatenate(([True], group_ids[1:] != group_ids[:-1]))
-        )
-        return list(zip(group_ids[bounds].tolist(), groups))
-    customers_of = {asn: topology.customers_of(asn) for asn in topology.asns}
-    pairs: list[tuple[int, TransitGroup]] = []
-    for index, (group, statuses) in enumerate(zip(visible, group_statuses)):
-        stripped = [strip_prepending(path) for path in group.paths.values()]
-        scores = hegemony_scores(stripped, trim=trim, prestripped=True)
-        if not scores:
-            continue
-        learned_from_customer = _customer_learning(stripped, customers_of)
-        transits = {
-            asn: TransitInfo(
-                hegemony=score,
-                from_customer=learned_from_customer.get(asn, False),
-            )
-            for asn, score in scores.items()
-        }
-        pairs.append(
-            (
-                index,
-                TransitGroup(
-                    origin=group.origin,
-                    prefixes=group.prefixes,
-                    statuses=statuses,
-                    transits=transits,
-                    visibility=len(group.paths),
-                ),
-            )
-        )
-    return pairs
+    columns = _hegemony_columns(visible, topology, trim)
+    groups = _groups_from_columns(visible, group_statuses, columns)
+    group_ids = columns[0]
+    if not len(group_ids):
+        return []
+    bounds = np.flatnonzero(
+        np.concatenate(([True], group_ids[1:] != group_ids[:-1]))
+    )
+    return list(zip(group_ids[bounds].tolist(), groups))
 
 
 def _hegemony_columns(
@@ -336,7 +264,7 @@ def _partition_groups(
     return partitions
 
 
-def _transit_groups_numpy(
+def _transit_groups(
     visible: list[RouteGroup],
     group_statuses: list[tuple],
     topology: ASTopology,
@@ -344,8 +272,8 @@ def _transit_groups_numpy(
 ) -> list[TransitGroup]:
     """Columnar transit scoring, streamed over route-group partitions.
 
-    Produces the same TransitGroups in the same order with the same
-    per-group transit insertion order as the reference loop (see
+    Produces the TransitGroups in route-group order, each with its
+    transits in first-seen path order (see
     :func:`repro.kernels.groupby.hegemony_transits`).  The flat
     reduction runs one bounded partition at a time: each group's rows
     depend only on its own paths and partitions are contiguous slices,
@@ -373,49 +301,23 @@ def _transit_groups_numpy(
     return transit_groups
 
 
-def _customer_learning(
-    stripped_paths: list[tuple[int, ...]],
-    customers_of: dict[int, frozenset[int]],
-) -> dict[int, bool]:
-    """For each on-path AS, did it learn the route from a direct customer?
-
-    Paths arrive prepending-stripped.  On a path ``(vp, ..., t, next, ...,
-    origin)`` the AS after ``t`` (toward the origin) is the neighbour ``t``
-    accepted the route from; the flag is set when that neighbour is
-    ``t``'s customer.  The propagation engine gives every AS a single
-    selected route, so the flag is consistent across paths.
-    """
-    learned: dict[int, bool] = {}
-    for stripped in stripped_paths:
-        for position in range(1, len(stripped) - 1):
-            transit = stripped[position]
-            if transit in learned:
-                continue
-            toward_origin = stripped[position + 1]
-            learned[transit] = toward_origin in customers_of[transit]
-    return learned
-
-
 # Worker-process state for range-sharded transit scoring, installed once
 # per worker by the pool initializer (a fork-context pool inherits it:
 # tasks carry only their group range).
 _shard_topology: ASTopology | None = None
 _shard_trim: float = DEFAULT_TRIM
 _shard_visible: list[RouteGroup] = []
-_shard_statuses: list[tuple] = []
 
 
 def _init_ihr_shard_worker(
     topology: ASTopology,
     trim: float,
     visible: list[RouteGroup],
-    group_statuses: list[tuple],
 ) -> None:
-    global _shard_topology, _shard_trim, _shard_visible, _shard_statuses
+    global _shard_topology, _shard_trim, _shard_visible
     _shard_topology = topology
     _shard_trim = trim
     _shard_visible = visible
-    _shard_statuses = group_statuses
 
 
 def _transit_shard(task: tuple) -> tuple[dict, tuple]:
@@ -423,21 +325,16 @@ def _transit_shard(task: tuple) -> tuple[dict, tuple]:
 
     Group ids in the emitted columns are range-local — the driver
     materialises each shard's groups directly against its own range.
-    Under the python kernels the shard carries finished TransitGroups
-    instead (the reference loop has no columnar intermediate).
+    The whole range is flattened as one hegemony partition.
     """
     index, total, start, stop = task
     assert _shard_topology is not None
-    chunk = _shard_visible[start:stop]
-    if kernels.use_numpy():
-        columns = _hegemony_columns(chunk, _shard_topology, _shard_trim)
-        manifest = shard_manifest("ihr.transit", index, total, len(columns[0]))
-        return manifest, ("columns", columns)
-    groups = _transit_groups_python(
-        chunk, _shard_statuses[start:stop], _shard_topology, _shard_trim
+    columns = _hegemony_columns(
+        _shard_visible[start:stop], _shard_topology, _shard_trim
     )
-    manifest = shard_manifest("ihr.transit", index, total, len(groups))
-    return manifest, ("groups", groups)
+    obs.add("hegemony.partitions")
+    manifest = shard_manifest("ihr.transit", index, total, len(columns[0]))
+    return manifest, columns
 
 
 def _sharded_transit_groups(
@@ -459,7 +356,6 @@ def _sharded_transit_groups(
     total = len(tasks)
     obs.add("ihr.transit_shards", total)
     manifests: list[dict] = []
-    kinds: set[str] = set()
     parts: list[list[TransitGroup]] = []
 
     def consume(result: tuple[dict, tuple]) -> None:
@@ -469,19 +365,16 @@ def _sharded_transit_groups(
         # resident.  Should manifest validation below reject the set,
         # the materialised parts are discarded wholesale (the usual
         # discard-don't-stitch contract), never partially reused.
-        manifest, payload = result
+        manifest, columns = result
         position = len(manifests)
         manifests.append(manifest)
-        kinds.add(payload[0])
-        if payload[0] == "columns" and position < total:
+        if position < total:
             _, _, start, stop = tasks[position]
             parts.append(
                 _groups_from_columns(
-                    visible[start:stop], group_statuses[start:stop], payload[1]
+                    visible[start:stop], group_statuses[start:stop], columns
                 )
             )
-        elif payload[0] == "groups":
-            parts.append(payload[1])
 
     ok = pool_map_consume(
         _transit_shard,
@@ -489,13 +382,11 @@ def _sharded_transit_groups(
         workers=obs.resolve_jobs(jobs),
         consume=consume,
         initializer=_init_ihr_shard_worker,
-        initargs=(topology, trim, visible, group_statuses),
+        initargs=(topology, trim, visible),
     )
     if not ok:
         return None
     problems = check_shard_manifests(manifests, "ihr.transit", total)
-    if not problems and len(kinds) != 1:
-        problems.append(f"mixed shard payload kinds {sorted(kinds)}")
     if problems:
         log.warning(
             "discarding sharded transit scoring (%s); recomputing unsharded",

@@ -100,13 +100,6 @@ class IRRDatabase:
         self._flush_routes()
         return self._routes.covering(prefix)
 
-    def routes_covering_many(
-        self, prefixes: Iterable[Prefix]
-    ) -> dict[Prefix, list[RouteObject]]:
-        """Covering route objects for many prefixes (one bulk trie walk)."""
-        self._flush_routes()
-        return self._routes.covering_many(prefixes)
-
     @property
     def version(self) -> int:
         """Mutation counter for cache invalidation."""
@@ -181,28 +174,6 @@ class IRRCollection:
         for database in self._databases.values():
             found.extend(database.routes_covering(prefix))
         return found
-
-    def routes_covering_many(
-        self, prefixes: Iterable[Prefix]
-    ) -> dict[Prefix, list[RouteObject]]:
-        """Covering route objects for many deduplicated prefixes.
-
-        Per-prefix result order matches :meth:`routes_covering`:
-        database registration order first, then least- to most-specific
-        within each database.  One walk set per distinct prefix — per-
-        database bulk dicts merged afterwards were measured here and
-        lost to the merge's own dict traffic.
-        """
-        databases = list(self._databases.values())
-        combined: dict[Prefix, list[RouteObject]] = {}
-        for prefix in prefixes:
-            if prefix in combined:
-                continue
-            found: list[RouteObject] = []
-            for database in databases:
-                found.extend(database.routes_covering(prefix))
-            combined[prefix] = found
-        return combined
 
     @property
     def version(self) -> tuple[int, int]:

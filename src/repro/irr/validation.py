@@ -25,9 +25,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from repro import config as _config
-from repro import kernels, obs
-from repro.config import RuntimeConfig
+from repro import obs
 from repro.kernels.intervals import RouteIntervalIndex
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.objects import RouteObject
@@ -75,10 +73,8 @@ _STATUS_BY_CODE = (
 )
 
 
-def _index_of(
-    registry: IRRCollection | IRRDatabase,
-) -> RouteIntervalIndex | None:
-    """The registry's current-state interval index, or None if unsupported.
+def _index_of(registry: IRRCollection | IRRDatabase) -> RouteIntervalIndex:
+    """The registry's current-state interval index.
 
     Like the verdict memo, the index is cached in the registry object's
     ``__dict__`` tagged with the mutation counter it was built against.
@@ -86,9 +82,7 @@ def _index_of(
     makes the paper's IRR procedure the exact RFC 6811 verdict function
     (a covering match is VALID only at the registered length).
     """
-    version = getattr(registry, "version", None)
-    if version is None:
-        return None
+    version = registry.version
     cached = getattr(registry, "_interval_index", None)
     if cached is not None and cached[0] == version:
         return cached[1]
@@ -105,53 +99,40 @@ def _index_of(
         zero_asn_matches=True,
     )
     obs.add("irr.interval_index_builds")
-    try:
-        registry._interval_index = (version, index)
-    except AttributeError:  # e.g. a slotted test double
-        return None
+    registry._interval_index = (version, index)
     return index
 
 
 def _memo_of(
     registry: IRRCollection | IRRDatabase,
-) -> dict[tuple[Prefix, int], IRRStatus] | None:
-    """The registry's current-state memo, or None if unsupported.
+) -> dict[tuple[Prefix, int], IRRStatus]:
+    """The registry's current-state verdict memo.
 
     The memo lives in the registry object's ``__dict__`` tagged with the
     mutation counter it was built against; any mutation since then makes
     it stale and it is replaced with a fresh one.
     """
-    version = getattr(registry, "version", None)
-    if version is None:
-        return None
+    version = registry.version
     cached = getattr(registry, "_validation_memo", None)
     if cached is not None and cached[0] == version:
         return cached[1]
     memo: dict[tuple[Prefix, int], IRRStatus] = {}
-    try:
-        registry._validation_memo = (version, memo)
-    except AttributeError:  # e.g. a slotted test double
-        return None
+    registry._validation_memo = (version, memo)
     return memo
 
 
 def seed_memo(
     registry: IRRCollection | IRRDatabase,
     verdicts: dict[tuple[Prefix, int], IRRStatus],
-) -> bool:
+) -> None:
     """Pre-populate the registry's current-version verdict memo.
 
     After a registry mutation the version-tagged memo starts empty; a
     caller that knows which routes the mutation *cannot* have affected
     (no added/removed object covers them — see :mod:`repro.delta`) can
     seed their old verdicts instead of re-walking the trie for each.
-    Returns False when the registry does not support memoisation.
     """
-    memo = _memo_of(registry)
-    if memo is None:
-        return False
-    memo.update(verdicts)
-    return True
+    _memo_of(registry).update(verdicts)
 
 
 def validate_irr(
@@ -159,8 +140,6 @@ def validate_irr(
 ) -> IRRStatus:
     """Classify one route against the registry's route objects."""
     memo = _memo_of(registry)
-    if memo is None:
-        return _classify(registry.routes_covering(prefix), prefix, origin)
     key = (prefix, origin)
     status = memo.get(key)
     if status is None:
@@ -169,47 +148,20 @@ def validate_irr(
     return status
 
 
-def _classify_pending(
-    registry: IRRCollection | IRRDatabase,
-    pending: list[tuple[Prefix, int]],
-) -> list[IRRStatus]:
-    """Bulk-classify not-yet-memoised routes, aligned with ``pending``."""
-    index = _index_of(registry) if kernels.use_numpy() else None
-    if index is not None:
-        codes = index.classify_routes(pending)
-        return [_STATUS_BY_CODE[code] for code in codes.tolist()]
-    covering = registry.routes_covering_many(prefix for prefix, _ in pending)
-    return [
-        _classify(covering[prefix], prefix, origin)
-        for prefix, origin in pending
-    ]
-
-
 def validate_irr_many(
     registry: IRRCollection | IRRDatabase,
     routes: Iterable[tuple[Prefix, int]],
-    runtime: RuntimeConfig | None = None,
 ) -> dict[tuple[Prefix, int], IRRStatus]:
-    """Classify a batch of routes with one bulk covering walk.
+    """Classify a batch of routes with one interval-index probe.
 
-    Equivalent to calling :func:`validate_irr` per route; covering
-    objects for all not-yet-memoised prefixes are collected via the
-    registry's ``routes_covering_many`` bulk lookup first.
-
-    ``runtime`` installs a :class:`repro.config.RuntimeConfig` for the
-    duration of the call.  The bulk kernel always runs in-process: it is
-    cheaper than any worker pool (DESIGN §13).
+    Equivalent to calling :func:`validate_irr` per route; every
+    not-yet-memoised route is classified in one bulk
+    :meth:`RouteIntervalIndex.classify_routes` call.  The bulk kernel
+    always runs in-process: it is cheaper than any worker pool (DESIGN
+    §13).
     """
-    if runtime is not None:
-        with _config.use(runtime):
-            return validate_irr_many(registry, routes)
     routes = set(routes)
     memo = _memo_of(registry)
-    if memo is None:
-        return {
-            key: _classify(registry.routes_covering(key[0]), key[0], key[1])
-            for key in routes
-        }
     results: dict[tuple[Prefix, int], IRRStatus] = {}
     pending: list[tuple[Prefix, int]] = []
     for key in routes:
@@ -219,7 +171,8 @@ def validate_irr_many(
         else:
             results[key] = status
     if pending:
-        statuses = _classify_pending(registry, pending)
+        codes = _index_of(registry).classify_routes(pending)
+        statuses = [_STATUS_BY_CODE[code] for code in codes.tolist()]
         tallies: dict[IRRStatus, int] = {}
         for key, status in zip(pending, statuses):
             memo[key] = status

@@ -1,11 +1,11 @@
 """Grouped-reduction kernels: AS-Hegemony over flat path columns.
 
 The IHR pipeline scores every route group's transit ASes over its
-vantage-point paths.  The reference implementation walks each group's
-path tuples three times (prepending strip, appearance counting, customer
-learning); this kernel takes *all* groups' paths as one flat int column
-plus offsets and reduces them with one sort pass and ``reduceat``
-segment reductions.
+vantage-point paths.  The reference implementation (the test oracle in
+``tests/oracle.py``) walks each group's path tuples three times
+(prepending strip, appearance counting, customer learning); this kernel
+takes *all* groups' paths as one flat int column plus offsets and
+reduces them with one sort pass and ``reduceat`` segment reductions.
 
 Byte-identity with the reference requires reproducing not just the
 scores but the **emission order** of each group's transits dict — world
@@ -53,7 +53,7 @@ def hegemony_transits(
 
     Returns ``(group_ids, asns, scores, from_customer)`` rows holding
     exactly the entries, values and per-group order of the reference
-    ``hegemony_scores`` + ``_customer_learning`` combination.
+    per-group ``hegemony_scores`` + customer-learning loop.
     """
     if not 0 <= trim < 0.5:
         raise ValueError(f"trim must be in [0, 0.5), got {trim}")

@@ -18,8 +18,9 @@ three boolean columns.
 
 IPv6 values exceed 64 bits; v6 entries use per-length Python dict
 lookups instead (v6 populations in the model are small).  Verdicts are
-exactly those of the per-route reference classifiers in
-:mod:`repro.rpki.rov` and :mod:`repro.irr.validation`.
+exactly those of the per-route ``_classify`` functions in
+:mod:`repro.rpki.rov` and :mod:`repro.irr.validation` over the covering
+objects (the test oracle in ``tests/oracle.py``).
 """
 
 from __future__ import annotations

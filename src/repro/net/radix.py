@@ -171,42 +171,6 @@ class RadixTree(Generic[V]):
             found.extend(node.values)
         return found
 
-    def covering_many(
-        self, prefixes: Iterable[Prefix]
-    ) -> dict[Prefix, list[V]]:
-        """Covering values for many prefixes in one deduplicated pass.
-
-        Queries are deduplicated (bulk callers repeat prefixes heavily —
-        one per announcement, not per distinct prefix) and each distinct
-        prefix gets one inlined root-to-leaf walk.  A sorted walk sharing
-        path segments between address-adjacent queries was measured here
-        and lost: these tries are shallow and sparse, so the per-query
-        stack bookkeeping costs more than the few levels it saves.
-        Per-prefix results are identical to :meth:`covering`, including
-        the shortest-first ordering.
-        """
-        results: dict[Prefix, list[V]] = {}
-        roots = self._roots
-        for prefix in prefixes:
-            if prefix in results:
-                continue
-            found: list[V] = []
-            node: _Node[V] | None = roots[prefix.version]
-            address = prefix.value
-            shift = prefix.bits - 1
-            for _ in range(prefix.length):
-                if node.values:
-                    found.extend(node.values)
-                node = node.children[(address >> shift) & 1]
-                shift -= 1
-                if node is None:
-                    break
-            else:
-                if node.values:
-                    found.extend(node.values)
-            results[prefix] = found
-        return results
-
     def covered(self, prefix: Prefix) -> list[V]:
         """All values at ``prefix`` or more-specific prefixes under it."""
         node: _Node[V] | None = self._roots[prefix.version]
@@ -226,20 +190,6 @@ class RadixTree(Generic[V]):
                 if child is not None:
                     stack.append(child)
         return found
-
-    def has_covering(self, prefix: Prefix) -> bool:
-        """Cheap test for "is there any covering entry at all?"."""
-        node: _Node[V] | None = self._roots[prefix.version]
-        address = prefix.value
-        shift = prefix.bits - 1
-        for _ in range(prefix.length):
-            if node.values:
-                return True
-            node = node.children[(address >> shift) & 1]
-            shift -= 1
-            if node is None:
-                return False
-        return bool(node.values)
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """Iterate over every (prefix, value) pair in address order."""

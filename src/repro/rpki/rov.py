@@ -19,9 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from repro import config as _config
-from repro import kernels, obs
-from repro.config import RuntimeConfig
+from repro import obs
 from repro.kernels.intervals import RouteIntervalIndex
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
@@ -72,22 +70,21 @@ class ROVValidator:
     The VRP set is frozen at construction, so per-route verdicts are
     memoised: within one snapshot the same (prefix, origin) is typically
     classified several times (announcement classing, the IHR pipeline,
-    conformance analyses) and only the first lookup walks the trie.
+    conformance analyses) and only the first lookup classifies it.
     """
 
     def __init__(self, vrps: Iterable[VRP]):
         self._vrps: list[VRP] = list(vrps)
         self._count = len(self._vrps)
-        # Both lookup structures are lazy: the radix trie backs the
-        # per-route reference path and ad-hoc covering queries, the
-        # interval index backs the bulk numpy kernels.  A validator used
-        # only through one path never builds the other.
+        # Both lookup structures are lazy: the radix trie backs
+        # single-route validation and ad-hoc covering queries, the
+        # interval index backs the bulk kernels.  A validator used only
+        # through one path never builds the other.
         self._tree: RadixTree[VRP] | None = None
         self._index: RouteIntervalIndex | None = None
         obs.add("rov.validators_built")
         obs.add("rov.vrps_loaded", self._count)
         self._memo: dict[tuple[Prefix, int], RPKIStatus] = {}
-        self._covered_memo: dict[Prefix, bool] = {}
 
     def __len__(self) -> int:
         """Number of VRPs loaded."""
@@ -134,37 +131,17 @@ class ROVValidator:
             self._memo[key] = status
         return status
 
-    def _classify_pending(
-        self, pending: list[tuple[Prefix, int]]
-    ) -> list[RPKIStatus]:
-        """Bulk-classify not-yet-memoised routes, aligned with ``pending``."""
-        if kernels.use_numpy():
-            codes = self.interval_index().classify_routes(pending)
-            return [_STATUS_BY_CODE[code] for code in codes.tolist()]
-        covering = self._trie().covering_many(prefix for prefix, _ in pending)
-        return [
-            _classify(covering[prefix], prefix, origin)
-            for prefix, origin in pending
-        ]
-
     def validate_many(
-        self,
-        routes: Iterable[tuple[Prefix, int]],
-        runtime: RuntimeConfig | None = None,
+        self, routes: Iterable[tuple[Prefix, int]]
     ) -> dict[tuple[Prefix, int], RPKIStatus]:
-        """Classify a batch of routes with one bulk trie walk.
+        """Classify a batch of routes with one interval-index probe.
 
-        Equivalent to calling :meth:`validate` per route, but covering
-        VRPs for all not-yet-memoised prefixes are gathered via
-        :meth:`RadixTree.covering_many` first.
-
-        ``runtime`` installs a :class:`repro.config.RuntimeConfig` for
-        the duration of the call.  The bulk kernel always runs
-        in-process: it is cheaper than any worker pool (DESIGN §13).
+        Equivalent to calling :meth:`validate` per route; every
+        not-yet-memoised route is classified in one bulk
+        :meth:`RouteIntervalIndex.classify_routes` call.  The bulk
+        kernel always runs in-process: it is cheaper than any worker
+        pool (DESIGN §13).
         """
-        if runtime is not None:
-            with _config.use(runtime):
-                return self.validate_many(routes)
         routes = set(routes)
         results: dict[tuple[Prefix, int], RPKIStatus] = {}
         pending: list[tuple[Prefix, int]] = []
@@ -175,7 +152,8 @@ class ROVValidator:
             else:
                 results[key] = status
         if pending:
-            statuses = self._classify_pending(pending)
+            codes = self.interval_index().classify_routes(pending)
+            statuses = [_STATUS_BY_CODE[code] for code in codes.tolist()]
             tallies: dict[RPKIStatus, int] = {}
             for key, status in zip(pending, statuses):
                 self._memo[key] = status
@@ -199,64 +177,15 @@ class ROVValidator:
         """
         self._memo.update(verdicts)
 
-    def seed_from(
-        self, other: "ROVValidator", changed: Iterable[Prefix]
-    ) -> int:
-        """Carry memoised state over from ``other`` for unaffected routes.
-
-        ``changed`` is the set of prefixes whose VRP entries differ
-        between the two validators' VRP sets.  A route's RFC 6811 verdict
-        is a function of its covering VRPs, and its coverage bit of
-        whether any covering VRP exists; both can only change when some
-        added/removed VRP covers the route, i.e. when the route's prefix
-        lies inside a changed prefix.  Everything outside that cover set
-        is copied; returns the number of entries carried.
-        """
-        spans: dict[int, list[tuple[int, int]]] = {}
-        for prefix in changed:
-            spans.setdefault(prefix.version, []).append(
-                (prefix.first, prefix.last)
-            )
-
-        def unaffected(prefix: Prefix) -> bool:
-            for first, last in spans.get(prefix.version, ()):
-                if prefix.first >= first and prefix.last <= last:
-                    return False
-            return True
-
-        carried = 0
-        for (prefix, origin), status in other._memo.items():
-            if unaffected(prefix):
-                self._memo[(prefix, origin)] = status
-                carried += 1
-        for prefix, covered in other._covered_memo.items():
-            if unaffected(prefix):
-                self._covered_memo[prefix] = covered
-                carried += 1
-        return carried
-
     def covered_space(self, prefixes: Iterable[Prefix]) -> list[Prefix]:
         """Subset of ``prefixes`` that have at least one covering VRP.
 
         This is the paper's "ROA covered ... address space" numerator for
-        RPKI saturation (Equation 7/8).  Coverage per prefix is memoised:
-        saturation sweeps re-query the same routed table against one
-        validator (member and non-member splits, repeated series).
+        RPKI saturation (Equation 7/8), answered in one interval-index
+        probe.
         """
-        if kernels.use_numpy():
-            if not isinstance(prefixes, (list, tuple)):
-                prefixes = list(prefixes)
-            mask = self.interval_index().covers_prefixes(prefixes)
-            return [p for p, hit in zip(prefixes, mask.tolist()) if hit]
-        memo = self._covered_memo
-        has_covering = self._trie().has_covering
-        result: list[Prefix] = []
-        for prefix in prefixes:
-            covered = memo.get(prefix)
-            if covered is None:
-                covered = has_covering(prefix)
-                memo[prefix] = covered
-            if covered:
-                result.append(prefix)
-        return result
+        if not isinstance(prefixes, (list, tuple)):
+            prefixes = list(prefixes)
+        mask = self.interval_index().covers_prefixes(prefixes)
+        return [p for p, hit in zip(prefixes, mask.tolist()) if hit]
 

@@ -4,10 +4,10 @@ The central invariant — applying an event stream incrementally through
 :class:`~repro.delta.live.LiveWorld` produces a world digest-identical
 to rebuilding everything cold from the mutated inputs — is pinned three
 ways: a Hypothesis sweep over random event sequences (with shrinking),
-an every-event-kind checkpoint walk under the pure-Python kernels, and a
-committed golden replay digest on the shared ``small_world``.  The cover
-set that makes the incremental path cheap is property-tested against a
-brute-force containment scan in both kernel modes.
+an every-event-kind checkpoint walk, and a committed golden replay
+digest on the shared ``small_world``.  The cover set that makes the
+incremental path cheap is property-tested against the brute-force
+containment scan in ``tests/oracle.py``.
 
 The satellites ride along: the ``repro.perf`` removal-window guards, the
 tampered year-snapshot counter, and the serving layer's ``at=``
@@ -32,7 +32,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import obs
-from repro.config import RuntimeConfig, use
 from repro.datasets.checkpoint import (
     CheckpointStore,
     checkpoint_key,
@@ -56,6 +55,7 @@ from repro.registry.rir import RIR
 from repro.rpki.roa import ROA, VRP
 from repro.rpki.rov import ROVValidator
 from repro.scenario.build import build_world
+from tests import oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -66,10 +66,6 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "replay_digests.json"
 def delta_world():
     """A tiny world shared by the replay tests (built at most once)."""
     return build_world(scale=0.05, seed=3)
-
-
-def kernel_modes():
-    return ("numpy", "python")
 
 
 # -- cover sets vs brute force (satellite 1) ---------------------------------
@@ -90,27 +86,13 @@ route_strategy = st.tuples(
 )
 
 
-def brute_force_cover(routes, changed):
-    return sorted(
-        {
-            index
-            for index, (prefix, _) in enumerate(routes)
-            for cover in changed
-            if cover.contains(prefix)
-        }
-    )
-
-
 @given(
     routes=st.lists(route_strategy, min_size=0, max_size=40),
     changed=st.lists(prefix_strategy, min_size=0, max_size=8),
 )
-def test_cover_index_matches_bruteforce_both_kernels(routes, changed):
-    index = RouteCoverIndex(routes)
-    expected = brute_force_cover(routes, changed)
-    for mode in kernel_modes():
-        with use(RuntimeConfig.resolve(kernels=mode)):
-            assert index.affected(changed) == expected, mode
+def test_cover_index_matches_bruteforce(routes, changed):
+    expected = oracle.affected(routes, changed)
+    assert RouteCoverIndex(routes).affected(changed) == expected
 
 
 vrp_strategy = st.builds(
@@ -181,18 +163,16 @@ def test_replay_digest_equals_cold_rebuild(kinds, salt):
     )
 
 
-def test_every_event_kind_checkpoints_equal_python_kernels():
-    """One event of each kind, digest-checked at every instant, with the
-    pure-Python kernels driving validation, propagation and hegemony."""
+def test_every_event_kind_checkpoints_equal_cold_rebuild():
+    """One event of each kind, digest-checked at every instant."""
     world = delta_world()
-    with use(RuntimeConfig.resolve(kernels="python")):
-        events = synthesize_events(world, kinds=list(EVENT_KINDS), seed=13)
-        live = LiveWorld(world)
-        for applied, event in enumerate(events, start=1):
-            live.apply(event)
-            assert dataset_digests(live.world()) == dataset_digests(
-                cold_rebuild(world, events[:applied])
-            ), f"diverged after {applied} events ({type(event).__name__})"
+    events = synthesize_events(world, kinds=list(EVENT_KINDS), seed=13)
+    live = LiveWorld(world)
+    for applied, event in enumerate(events, start=1):
+        live.apply(event)
+        assert dataset_digests(live.world()) == dataset_digests(
+            cold_rebuild(world, events[:applied])
+        ), f"diverged after {applied} events ({type(event).__name__})"
 
 
 #: Instants an interleaved stream may move the live world to: before,
@@ -263,15 +243,10 @@ def _interleaved_checks(world, kinds, salt, actions, prelude):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_interleaved_stream_equals_cold_rebuild_both_kernels(
-    kinds, salt, actions, prelude
-):
+def test_interleaved_stream_equals_cold_rebuild(kinds, salt, actions, prelude):
     """Events, ``advance_to`` and mid-stream ``world()`` calls in any
     order: every materialised instant equals a cold rebuild."""
-    world = delta_world()
-    for mode in kernel_modes():
-        with use(RuntimeConfig.resolve(kernels=mode)):
-            _interleaved_checks(world, kinds, salt, actions, prelude)
+    _interleaved_checks(delta_world(), kinds, salt, actions, prelude)
 
 
 def test_event_path_does_no_world_wide_work():
@@ -461,19 +436,6 @@ def test_tampered_year_sidecar_counts_as_corrupt(tmp_path, small_world):
     assert path.is_file()
     assert "# tampered" not in path.read_text()
     assert store.load_year_vrps(key, year, strict=True) is not None
-
-
-def test_year_validators_seed_from_neighbours(small_world):
-    # The memo-carrying path only matters (and only fills) under the
-    # pure-Python kernels: the numpy path answers coverage from a
-    # rebuilt interval index and never touches the per-prefix memo.
-    from repro.scenario.timeline import Timeline
-
-    before = obs.counters().get("timeline.rov_verdicts_carried", 0)
-    with use(RuntimeConfig.resolve(kernels="python")):
-        Timeline(small_world).saturation_series()
-    after = obs.counters().get("timeline.rov_verdicts_carried", 0)
-    assert after > before, "adjacent years should carry verdicts over"
 
 
 # -- serving a live world at an instant (tentpole surface) -------------------

@@ -28,7 +28,6 @@ from repro.irr.objects import RouteObject
 from repro.irr.validation import validate_irr, validate_irr_many
 from repro.net.asn import strip_prepending
 from repro.net.prefix import Prefix
-from repro.net.radix import RadixTree
 from repro.registry.rir import RIR
 from repro.rpki.ca import RPKIRepository
 from repro.rpki.roa import ROA
@@ -390,22 +389,6 @@ class TestRibSnapshotIndex:
 
 
 class TestBulkValidation:
-    def test_covering_many_matches_covering(self):
-        rng = random.Random(7)
-        tree: RadixTree[int] = RadixTree()
-        stored = []
-        for i in range(200):
-            length = rng.choice([8, 12, 16, 20, 24])
-            prefix = Prefix.from_host(rng.randrange(0, 2**32), length)
-            tree.insert(prefix, i)
-            stored.append(prefix)
-        queries = stored[:50] + [
-            Prefix.from_host(rng.randrange(0, 2**32), 24) for _ in range(100)
-        ]
-        bulk = tree.covering_many(queries)
-        for prefix in queries:
-            assert bulk[prefix] == tree.covering(prefix)
-
     def test_validate_irr_many_matches_single(self, small_world):
         registry = small_world.irr
         routes = [

@@ -17,7 +17,6 @@ class TestBasics:
         tree: RadixTree[str] = RadixTree()
         assert len(tree) == 0
         assert tree.covering(_p("10.0.0.0/8")) == []
-        assert not tree.has_covering(_p("10.0.0.0/8"))
 
     def test_insert_and_exact(self):
         tree: RadixTree[str] = RadixTree()
@@ -116,7 +115,6 @@ def test_covering_matches_bruteforce(stored, query):
         index for index, prefix in enumerate(stored) if prefix.contains(query)
     )
     assert sorted(tree.covering(query)) == expected
-    assert tree.has_covering(query) == bool(expected)
 
 
 @given(

@@ -3,8 +3,7 @@
 The contract under test: one frozen dataclass resolved with ``explicit
 > environment > default`` precedence, installable process-wide or for a
 ``with`` block, consulted by every call-time reader the per-site env
-lookups used to own (kernel mode, mmap, default store, jobs/shards
-resolution).
+lookups used to own (mmap, default store, jobs/shards resolution).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class TestDefaults:
         assert runtime == RuntimeConfig()
         assert runtime.jobs == 1
         assert runtime.shards == 1
-        assert runtime.kernels == "numpy"
         assert runtime.mmap is True
         assert runtime.cache_dir is None
         assert runtime.world_cache_size == 4
@@ -45,8 +43,6 @@ class TestDefaults:
         assert RuntimeConfig(jobs=2) != RuntimeConfig(jobs=3)
 
     def test_validation_rejects_bad_modes(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            RuntimeConfig(kernels="fortran")
         with pytest.raises(ValueError, match="world_cache_size"):
             RuntimeConfig(world_cache_size=0)
 
@@ -56,7 +52,6 @@ class TestFromEnv:
         env = {
             "REPRO_JOBS": "4",
             "REPRO_SHARDS": "8",
-            "REPRO_KERNELS": "python",
             "REPRO_MMAP": "0",
             "REPRO_CACHE_DIR": "/tmp/store",
             "REPRO_WORLD_CACHE_SIZE": "9",
@@ -66,7 +61,6 @@ class TestFromEnv:
         assert runtime == RuntimeConfig(
             jobs=4,
             shards=8,
-            kernels="python",
             mmap=False,
             cache_dir="/tmp/store",
             world_cache_size=9,
@@ -82,12 +76,6 @@ class TestFromEnv:
         }
         assert RuntimeConfig.from_env(env) == RuntimeConfig()
 
-    def test_bad_kernels_value_raises(self):
-        # The one deliberate exception to lenient parsing: a kernel-mode
-        # typo must not silently change which implementation ran.
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            RuntimeConfig.from_env({"REPRO_KERNELS": "fortran"})
-
     def test_mmap_falsey_spellings(self):
         for raw in ("0", "false", "off", "no", "FALSE", "Off"):
             assert RuntimeConfig.from_env({"REPRO_MMAP": raw}).mmap is False
@@ -101,7 +89,7 @@ class TestResolvePrecedence:
         runtime = RuntimeConfig.resolve(env=env, jobs=2)
         assert runtime.jobs == 2  # explicit wins
         assert runtime.shards == 8  # env fills the unspecified
-        assert runtime.kernels == "numpy"  # default fills the rest
+        assert runtime.mmap is True  # default fills the rest
 
     def test_none_override_means_unspecified(self):
         env = {"REPRO_JOBS": "4"}
@@ -110,6 +98,9 @@ class TestResolvePrecedence:
     def test_unknown_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="workers"):
             RuntimeConfig.resolve(env={}, workers=4)
+        # The kernel-mode switch is gone: one implementation per stage.
+        with pytest.raises(TypeError, match="kernels"):
+            RuntimeConfig.resolve(kernels="python")
 
     def test_merged_applies_non_none_on_top(self):
         base = RuntimeConfig(jobs=2, shards=4)
@@ -126,9 +117,9 @@ class TestResolvePrecedence:
 
 class TestActiveConfig:
     def test_current_reads_env_at_call_time_when_uninstalled(self, monkeypatch):
-        assert config.current().kernels == "numpy"
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert config.current().kernels == "python"
+        assert config.current().shards == 1
+        monkeypatch.setenv("REPRO_SHARDS", "3")
+        assert config.current().shards == 3
 
     def test_set_current_overrides_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -169,12 +160,6 @@ class TestCallTimeReaders:
             assert resolve_jobs() == 6
             assert resolve_jobs(2) == 2  # explicit argument still wins
 
-    def test_kernel_mode_honours_installed_config(self):
-        from repro.kernels import kernel_mode
-
-        with config.use(RuntimeConfig(kernels="python")):
-            assert kernel_mode() == "python"
-
     def test_mmap_honours_installed_config(self):
         from repro.datasets.arraystore import mmap_enabled
 
@@ -193,40 +178,26 @@ class TestCallTimeReaders:
     def test_picklable_for_pool_initializers(self):
         import pickle
 
-        runtime = RuntimeConfig(jobs=3, kernels="python")
+        runtime = RuntimeConfig(jobs=3, build_budget_mb=0.5)
         assert pickle.loads(pickle.dumps(runtime)) == runtime
 
 
 class TestRuntimeParameter:
     """``runtime=`` on an entry point governs the whole call."""
 
-    def test_build_world_runtime_controls_kernel_mode(self):
-        from repro.scenario.build import build_world
-
-        python_world = build_world(
-            scale=0.03, seed=5, runtime=RuntimeConfig(kernels="python")
-        )
-        numpy_world = build_world(
-            scale=0.03, seed=5, runtime=RuntimeConfig(kernels="numpy")
-        )
-        from repro.datasets.checkpoint import world_digest
-
-        assert world_digest(python_world) == world_digest(numpy_world)
-
     def test_explicit_runtime_beats_environment(self, monkeypatch):
-        from repro.kernels import kernel_mode
         from repro.scenario import build as build_mod
 
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        seen: dict[str, str] = {}
+        monkeypatch.setenv("REPRO_BUILD_BUDGET_MB", "64")
+        seen: dict[str, float | None] = {}
         original = build_mod._build_world
 
         def spy(*args, **kwargs):
-            seen["mode"] = kernel_mode()
+            seen["budget"] = config.current().build_budget_mb
             return original(*args, **kwargs)
 
         monkeypatch.setattr(build_mod, "_build_world", spy)
         build_mod.build_world(
-            scale=0.02, seed=1, runtime=RuntimeConfig(kernels="numpy")
+            scale=0.02, seed=1, runtime=RuntimeConfig(build_budget_mb=8.0)
         )
-        assert seen["mode"] == "numpy"
+        assert seen["budget"] == 8.0

@@ -293,6 +293,13 @@ class TestShardWorkShape:
         assert serial > 0
         assert cache_misses(2, 2) == serial
 
+    def test_sharded_build_counts_hegemony_partitions(self):
+        # Each transit shard flattens its range as one partition, so a
+        # two-shard build reports at least two.
+        before = obs.counters().get("hegemony.partitions", 0)
+        _build_world(0.05, 3, None, None, None, 2, 2)
+        assert obs.counters().get("hegemony.partitions", 0) - before >= 2
+
 
 def _reference_concat(blocks):
     """The in-memory concatenation the accumulator must reproduce."""
